@@ -11,7 +11,7 @@ GO ?= go
 SHELL := /bin/bash
 .SHELLFLAGS := -o pipefail -ec
 
-.PHONY: ci vet lint fmt-check build test test-daemon test-mps test-faults cover bench-smoke bench-check bench profile
+.PHONY: ci vet lint fmt-check build test test-daemon test-mps test-faults fuzz-smoke cover bench-smoke bench-check bench profile
 
 ci: vet build test test-mps test-faults bench-smoke
 
@@ -83,6 +83,24 @@ FAULT_PKGS := ./internal/lp/ ./internal/sched/ ./internal/milp/ ./internal/annea
 test-faults:
 	$(GO) test -race -run '$(FAULT_TESTS)' $(FAULT_PKGS)
 
+# A short native-fuzzing pass over every Fuzz* target in the repository
+# (the basis codec, the series digest, ...), FUZZTIME each.  `go test -fuzz`
+# takes one target per run, so the targets are found by name and run one by
+# one; a crasher lands under the package's testdata/fuzz/ as a regression
+# input.  Minimizing a new corpus entry (a kilobyte basis snapshot, say)
+# can otherwise take longer than the whole FUZZTIME, so it is capped at
+# FUZZMINIMIZE runs.  CI runs it as its own step of the ci job.
+FUZZTIME ?= 10s
+FUZZMINIMIZE ?= 100x
+
+fuzz-smoke:
+	@grep -rl --include='*_test.go' '^func Fuzz' . | xargs -n1 dirname | sort -u | while read -r dir; do \
+		for target in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$dir/*_test.go); do \
+			echo "fuzz-smoke: $$dir $$target for $(FUZZTIME)"; \
+			$(GO) test -run '^$$' -fuzz "^$$target$$" -fuzztime $(FUZZTIME) -fuzzminimizetime $(FUZZMINIMIZE) $$dir || exit 1; \
+		done; \
+	done
+
 # Coverage run: go test prints the per-package totals, the merged profile
 # lands in coverage.out (uploaded as a build artifact by the CI workflow),
 # and the final line is the whole-repo total.
@@ -109,8 +127,10 @@ cover:
 # BenchmarkPlannerTick measures the continuous planner's steady-state warm
 # tick (streamed ingest + RHS rewrite + warm re-solve + publish) — the
 # latency a plannerd client sees on POST /tick — and fails if a measured
-# tick falls back cold.
-BENCH_SMOKE := ^(BenchmarkCalibration|BenchmarkEvaluateSteadyState|BenchmarkEvaluateDeltaMove|BenchmarkLPResolve|BenchmarkLPBounded|BenchmarkLPPricing|BenchmarkLPPresolve|BenchmarkEmulDay|BenchmarkPlannerTick)$$
+# tick falls back cold.  BenchmarkEmulScale runs the fleet-scale day (4
+# datacenters × 2000 VMs), where GDFS bookkeeping rather than the LP sets
+# the pace, so it prints next to EmulDay.
+BENCH_SMOKE := ^(BenchmarkCalibration|BenchmarkEvaluateSteadyState|BenchmarkEvaluateDeltaMove|BenchmarkLPResolve|BenchmarkLPBounded|BenchmarkLPPricing|BenchmarkLPPresolve|BenchmarkEmulDay|BenchmarkEmulScale|BenchmarkPlannerTick)$$
 
 bench-smoke:
 	$(GO) test -bench='$(BENCH_SMOKE)' -benchtime=1x -run '^$$' .

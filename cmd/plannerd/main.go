@@ -91,7 +91,13 @@ func run() error {
 	fmt.Printf("plannerd: listening on %s\n", ln.Addr())
 	os.Stdout.Sync()
 
-	srv := &http.Server{Handler: d.Handler()}
+	// A client that trickles its headers or body cannot hold a connection
+	// (and its goroutine) open indefinitely; the handler also caps body size.
+	srv := &http.Server{
+		Handler:           d.Handler(),
+		ReadHeaderTimeout: 5 * time.Second,
+		ReadTimeout:       30 * time.Second,
+	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 

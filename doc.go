@@ -173,6 +173,22 @@
 //     a cluster must be plane-homogeneous.  The emulation runs the metadata
 //     plane by default (emul.Config.DataPlane), which removes gigabytes of
 //     live block slices from a large fleet's working set.
+//
+//     The master's bookkeeping sits on dense indices: each worker gets a
+//     small index at registration, a block's replica state is a pair of
+//     held/valid bitmasks over those indices, blocks live in a slice
+//     indexed by their sequentially allocated BlockID (deletes leave
+//     tombstones), and the under-replicated blocks are a bitset walked in
+//     ascending ID order; a MetaWorker keeps its records in a
+//     BlockID-indexed slice too.  Every lock stays — the background
+//     replicator, the migration shards' concurrent pending-bytes reads and
+//     the rpc stores need them — but each is taken once per batch, not
+//     once per block: Client.DirtyRange dirties a file's whole hourly range
+//     under one store lock and one master lock, and Cluster.ReplicateOnce
+//     plans, copies and commits a round under one master lock and one lock
+//     per metadata store, which also makes the round atomic with respect
+//     to writes.
+//
 //   - emul.Runner owns every per-run and per-hour buffer: green/PUE traces
 //     and forecast windows live in series.Blocks, predictors fill
 //     caller-provided slices (predict.Predictor.PredictInto), fleets are
@@ -291,7 +307,8 @@
 // Bland) on the scheduler-shaped partition LP and reports pivots/op next
 // to ns/op.  `make profile` writes CPU and heap profiles of
 // BenchmarkSchedulerComputeTime — the end-to-end optimization loop — into
-// the gitignored profile/ directory for `go tool pprof`.  See DESIGN.md
-// for the experiment index and EXPERIMENTS.md for measured-versus-paper
-// results.
+// the gitignored profile/ directory for `go tool pprof`.  The end-to-end
+// benchmark (serving, fleet-scale emulation, siting) and its per-layer
+// trace are described in perfbench/README.md; CHANGES.md records what each
+// change did and what it measured.
 package greencloud

@@ -644,17 +644,18 @@ func (r *Runner) finishTick(absHour int, moves []sched.Migration, elapsed int64)
 	// Background GDFS re-replication catches the destinations up.
 	r.cluster.ReplicateOnce()
 
-	// Simulate the hour: VMs dirty disk blocks at their home site.
+	// Simulate the hour: VMs dirty disk blocks at their home site, each
+	// disk a run of consecutive blocks that wraps past its last block.
 	for vi := range cfg.VMs {
 		machine := &cfg.VMs[vi]
 		fi := r.files[vi]
-		client := r.clients[r.home[vi]]
+		if len(fi.Blocks) == 0 {
+			continue
+		}
 		dirtyBlocks := int(machine.DiskDirtyMBPerHour*(1<<20)/float64(fi.BlockSize)) + 1
-		for b := 0; b < dirtyBlocks && b < len(fi.Blocks); b++ {
-			block := (hour*dirtyBlocks + b) % len(fi.Blocks)
-			if err := client.DirtyBlock(fi, block); err != nil {
-				return nil, err
-			}
+		first := hour * dirtyBlocks % len(fi.Blocks)
+		if err := r.clients[r.home[vi]].DirtyRange(fi, first, min(dirtyBlocks, len(fi.Blocks))); err != nil {
+			return nil, err
 		}
 	}
 

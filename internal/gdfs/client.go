@@ -3,6 +3,7 @@ package gdfs
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"time"
 )
@@ -13,8 +14,12 @@ import (
 type Cluster struct {
 	master *Master
 
+	// stores is indexed by the master's worker index; metas holds the
+	// same stores where they are metadata-plane workers (nil elsewhere),
+	// which ReplicateOnce copies between in one locked batch.
 	mu     sync.RWMutex
-	stores map[WorkerID]BlockStore
+	stores []BlockStore
+	metas  []*MetaWorker
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -25,7 +30,6 @@ type Cluster struct {
 func NewCluster(master *Master) *Cluster {
 	return &Cluster{
 		master: master,
-		stores: make(map[WorkerID]BlockStore),
 		stop:   make(chan struct{}),
 		done:   make(chan struct{}),
 	}
@@ -36,24 +40,48 @@ func (c *Cluster) Master() *Master { return c.master }
 
 // AddWorker registers a block store with the master and the cluster.
 func (c *Cluster) AddWorker(store BlockStore, datacenter string) error {
-	if err := c.master.RegisterWorker(store.ID(), datacenter); err != nil {
+	i, err := c.master.register(store.ID(), datacenter)
+	if err != nil {
 		return err
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.stores[store.ID()] = store
+	for len(c.stores) <= i {
+		c.stores = append(c.stores, nil)
+		c.metas = append(c.metas, nil)
+	}
+	c.stores[i] = store
+	c.metas[i], _ = store.(*MetaWorker)
 	return nil
 }
 
 // store returns the block store for a worker.
 func (c *Cluster) store(id WorkerID) (BlockStore, error) {
+	i, err := c.master.index(id)
+	if err != nil {
+		return nil, err
+	}
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	s, ok := c.stores[id]
-	if !ok {
+	return c.storeAt(id, i)
+}
+
+// storeAt returns the block store at a worker index (caller holds mu); id
+// names the worker in the error.
+func (c *Cluster) storeAt(id WorkerID, i int) (BlockStore, error) {
+	if i >= len(c.stores) || c.stores[i] == nil {
 		return nil, fmt.Errorf("%w: %s", ErrWorkerNotFound, id)
 	}
-	return s, nil
+	return c.stores[i], nil
+}
+
+// metaAt returns the metadata-plane store at a worker index, or nil
+// (caller holds mu).
+func (c *Cluster) metaAt(i int) *MetaWorker {
+	if i < len(c.metas) {
+		return c.metas[i]
+	}
+	return nil
 }
 
 // StartReplicator launches the background re-replication loop, which
@@ -90,23 +118,72 @@ func (c *Cluster) StopReplicator() {
 
 // ReplicateOnce performs one round of re-replication synchronously and
 // returns the number of blocks copied.
+//
+// The round is atomic with respect to the master: it plans, copies and
+// commits under one master lock, so no write can invalidate a block between
+// its copy and the commit that marks the copy valid.  Copies between
+// metadata-plane workers move a BlockMeta record each, with every such
+// worker locked once for the whole round; copies involving any other store
+// run after those locks are released, block by block through the stores'
+// own locks.
 func (c *Cluster) ReplicateOnce() int {
-	tasks := c.master.UnderReplicated()
+	m := c.master
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for _, w := range c.metas {
+		if w != nil {
+			w.mu.Lock()
+			w.reserve(len(m.blocks))
+		}
+	}
 	copied := 0
-	for _, task := range tasks {
-		if err := c.copyBlock(task.Block, task.Source, task.Dest); err != nil {
+	var rest []task // copies with a payload or remote store at either end
+	m.plan(func(id BlockID, src int, stale, fresh uint64) {
+		from := c.metaAt(src)
+		var rec BlockMeta
+		ok := false
+		if from != nil {
+			rec, ok = from.get(id)
+		}
+		var done uint64
+		for dests := stale | fresh; dests != 0; dests &= dests - 1 {
+			d := bits.TrailingZeros64(dests)
+			to := c.metaAt(d)
+			if from == nil || to == nil {
+				rest = append(rest, task{block: id, src: src, dst: d})
+			} else if ok { // reserved above, and get vetted the record
+				to.install(id, rec)
+				done |= 1 << d
+			}
+		}
+		if done != 0 {
+			m.commitReplicas(id, &m.blocks[id], done)
+			copied += bits.OnesCount64(done)
+		}
+	})
+	for _, w := range c.metas {
+		if w != nil {
+			w.mu.Unlock()
+		}
+	}
+	for _, t := range rest {
+		src, err := c.storeAt(m.ids[t.src], t.src)
+		if err != nil {
 			continue
 		}
+		dst, err := c.storeAt(m.ids[t.dst], t.dst)
+		if err != nil || copyData(t.block, src, dst) != nil {
+			continue
+		}
+		m.commitReplicas(t.block, &m.blocks[t.block], 1<<t.dst)
 		copied++
 	}
 	return copied
 }
 
 // copyBlock copies one block between workers and commits the new replica.
-// It takes the cheapest path the two stores support: metadata-to-metadata
-// replication moves a BlockMeta record and no bytes; a borrowable source
-// lends its buffer to the destination's WriteBlock (one copy instead of
-// two); otherwise it falls back to ReadBlock+WriteBlock.
 func (c *Cluster) copyBlock(id BlockID, from, to WorkerID) error {
 	src, err := c.store(from)
 	if err != nil {
@@ -116,56 +193,73 @@ func (c *Cluster) copyBlock(id BlockID, from, to WorkerID) error {
 	if err != nil {
 		return err
 	}
-	if msrc, ok := src.(metaSource); ok {
-		if msink, ok := dst.(metaSink); ok {
-			m, ok := msrc.BlockMeta(id)
-			if !ok {
-				return fmt.Errorf("%w: block %d on worker %s", ErrBlockNotFound, id, from)
-			}
-			if err := msink.PutBlockMeta(id, m); err != nil {
-				return err
-			}
-			return c.master.CommitReplica(id, to)
-		}
-	}
-	if bsrc, ok := src.(borrowReader); ok {
-		if err := bsrc.borrowBlock(id, func(data []byte) error {
-			return dst.WriteBlock(id, data)
-		}); err != nil {
-			return err
-		}
-		return c.master.CommitReplica(id, to)
-	}
-	data, err := src.ReadBlock(id)
-	if err != nil {
-		return err
-	}
-	if err := dst.WriteBlock(id, data); err != nil {
+	if err := copyData(id, src, dst); err != nil {
 		return err
 	}
 	return c.master.CommitReplica(id, to)
 }
 
+// copyData copies one block's replica from src to dst by the cheapest path
+// the two stores support: metadata-to-metadata replication moves a
+// BlockMeta record and no bytes; a borrowable source lends its buffer to
+// the destination's WriteBlock (one copy instead of two); otherwise it
+// falls back to ReadBlock+WriteBlock.
+func copyData(id BlockID, src, dst BlockStore) error {
+	if msrc, ok := src.(metaSource); ok {
+		if msink, ok := dst.(metaSink); ok {
+			m, ok := msrc.BlockMeta(id)
+			if !ok {
+				return fmt.Errorf("%w: block %d on worker %s", ErrBlockNotFound, id, src.ID())
+			}
+			return msink.PutBlockMeta(id, m)
+		}
+	}
+	if bsrc, ok := src.(borrowReader); ok {
+		return bsrc.borrowBlock(id, func(data []byte) error {
+			return dst.WriteBlock(id, data)
+		})
+	}
+	data, err := src.ReadBlock(id)
+	if err != nil {
+		return err
+	}
+	return dst.WriteBlock(id, data)
+}
+
 // Client is a GDFS client bound to one datacenter: writes go to the local
 // worker first, reads prefer the local replica.
 //
-// A Client is safe for concurrent use except DirtyBlock, whose reusable
-// zero buffer makes it single-goroutine (one client per emulation
-// datacenter, dirty writes issued from the hour loop).
+// A Client is safe for concurrent use except DirtyBlock and DirtyRange,
+// whose reusable zero buffer makes them single-goroutine (one client per
+// emulation datacenter, dirty writes issued from the hour loop).
 type Client struct {
 	cluster *Cluster
 	local   WorkerID
-	// zero is the reusable all-zero buffer DirtyBlock writes through
+	// idx is the local worker's index at the master.
+	idx int
+	// zero is the reusable all-zero buffer DirtyRange writes through
 	// payload stores, allocated once per client instead of per block.
 	zero []byte
 }
 
 // NewClient returns a client whose local worker is the given one.
 func (c *Cluster) NewClient(local WorkerID) (*Client, error) {
-	if _, err := c.store(local); err != nil {
+	cl := &Client{cluster: c, local: local}
+	var err error
+	if cl.idx, err = c.master.index(local); err != nil {
 		return nil, err
 	}
-	return &Client{cluster: c, local: local}, nil
+	if _, err := cl.localStore(); err != nil {
+		return nil, err
+	}
+	return cl, nil
+}
+
+// localStore returns the store of the client's local worker.
+func (cl *Client) localStore() (BlockStore, error) {
+	cl.cluster.mu.RLock()
+	defer cl.cluster.mu.RUnlock()
+	return cl.cluster.storeAt(cl.local, cl.idx)
 }
 
 // Create adds a file of the given size filled with zeroes, with its primary
@@ -177,7 +271,7 @@ func (cl *Client) Create(path string, size int64) (*FileInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	store, err := cl.cluster.store(cl.local)
+	store, err := cl.localStore()
 	if err != nil {
 		return nil, err
 	}
@@ -205,30 +299,52 @@ func (cl *Client) zeroBuf(n int64) []byte {
 	return cl.zero[:n]
 }
 
-// DirtyBlock overwrites one whole block of a file at the local datacenter
-// through the write-invalidate protocol without the caller materializing
-// payload bytes: metadata-plane stores record a version bump, payload
-// stores receive the client's reusable zero buffer.  fi must come from
-// Create or Stat; the write always covers the whole block, so no remote
-// fetch is ever needed.  This is the emulation's dirty-write hot path.
-func (cl *Client) DirtyBlock(fi *FileInfo, index int) error {
-	if index < 0 || index >= len(fi.Blocks) {
-		return fmt.Errorf("gdfs: block index %d out of range for %s", index, fi.Path)
+// checkRange validates a range of count block indices of fi starting at
+// first; the range may wrap past the last block but not overlap itself.
+func checkRange(fi *FileInfo, first, count int) error {
+	if first < 0 || first >= len(fi.Blocks) {
+		return fmt.Errorf("gdfs: block index %d out of range for %s", first, fi.Path)
 	}
-	id := fi.Blocks[index]
-	store, err := cl.cluster.store(cl.local)
+	if count < 0 || count > len(fi.Blocks) {
+		return fmt.Errorf("gdfs: block count %d out of range for %s", count, fi.Path)
+	}
+	return nil
+}
+
+// DirtyRange overwrites count whole blocks of a file at the local
+// datacenter, from block index first and wrapping past the file's last
+// block, through the write-invalidate protocol without the caller
+// materializing payload bytes: metadata-plane stores record version bumps,
+// payload stores receive the client's reusable zero buffer.  The local
+// store dirties the range under one lock (metadata plane) and the master
+// commits it under one lock.  fi must come from Create or Stat; every write
+// covers a whole block, so no remote fetch is ever needed.  This is the
+// emulation's dirty-write hot path: one call per VM disk per hour.
+func (cl *Client) DirtyRange(fi *FileInfo, first, count int) error {
+	if err := checkRange(fi, first, count); err != nil {
+		return err
+	}
+	store, err := cl.localStore()
 	if err != nil {
 		return err
 	}
-	size := fi.BlockSizeAt(index)
 	if bd, ok := store.(blockDirtier); ok {
-		if err := bd.DirtyBlock(id, size); err != nil {
+		if err := bd.DirtyRange(fi, first, count); err != nil {
 			return err
 		}
-	} else if err := store.WriteBlock(id, cl.zeroBuf(size)); err != nil {
-		return err
+	} else {
+		for k, i := 0, first; k < count; k, i = k+1, nextIndex(i, len(fi.Blocks)) {
+			if err := store.WriteBlock(fi.Blocks[i], cl.zeroBuf(fi.BlockSizeAt(i))); err != nil {
+				return err
+			}
+		}
 	}
-	return cl.cluster.master.CommitWrite(id, cl.local)
+	return cl.cluster.master.commitWrites(fi, first, count, cl.idx)
+}
+
+// DirtyBlock is DirtyRange for the single block at index.
+func (cl *Client) DirtyBlock(fi *FileInfo, index int) error {
+	return cl.DirtyRange(fi, index, 1)
 }
 
 // WriteBlock overwrites one block of a file through the write-invalidate
@@ -245,7 +361,7 @@ func (cl *Client) WriteBlock(path string, index int, data []byte) error {
 		return fmt.Errorf("gdfs: block index %d out of range for %s", index, path)
 	}
 	id := fi.Blocks[index]
-	store, err := cl.cluster.store(cl.local)
+	store, err := cl.localStore()
 	if err != nil {
 		return err
 	}
@@ -296,7 +412,7 @@ func (cl *Client) ReadBlock(path string, index int) ([]byte, error) {
 		return nil, err
 	}
 	if containsWorker(loc.Valid, cl.local) {
-		store, err := cl.cluster.store(cl.local)
+		store, err := cl.localStore()
 		if err != nil {
 			return nil, err
 		}

@@ -14,6 +14,8 @@ package gdfs
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -40,6 +42,7 @@ var (
 	ErrWorkerNotFound = errors.New("gdfs: worker not registered")
 	ErrNoValidReplica = errors.New("gdfs: no valid replica available")
 	ErrClosed         = errors.New("gdfs: master is closed")
+	ErrTooManyWorkers = errors.New("gdfs: too many workers")
 )
 
 // BlockInfo is the master's metadata for one block.
@@ -70,41 +73,60 @@ func (fi *FileInfo) BlockSizeAt(i int) int64 {
 	return fi.BlockSize
 }
 
+// maxWorkers is how many workers one master can register: a block's
+// replica sets are one-word bitmasks over worker indices.
+const maxWorkers = 64
+
 // Master holds the namespace and block metadata and plans re-replication.
+//
+// The metadata sits on dense indices.  RegisterWorker gives each worker a
+// small index (its registration rank); a block's replica state is two
+// bitmasks over those indices; blocks live in a slice indexed by BlockID,
+// which Create allocates sequentially from 1, and a deleted block stays
+// behind as a tombstone; the under-replicated blocks form a bitset walked
+// in ascending BlockID order.  Every answer that lists workers (Workers,
+// BlockLocations, the replication plan) walks them in WorkerID order, so
+// no result depends on the order the workers registered in.
+//
+// One RWMutex guards it all.  A call takes it once, and the batch paths
+// take it once per batch, not per block: a client's dirty range commits
+// under one lock (Client.DirtyRange) and a replication round plans, copies
+// and commits under one (Cluster.ReplicateOnce).
 type Master struct {
-	mu          sync.RWMutex
-	files       map[string]*FileInfo
-	blocks      map[BlockID]*blockMeta
-	workers     map[WorkerID]*workerMeta
-	nextBlockID BlockID
+	mu    sync.RWMutex
+	files map[string]*FileInfo
+	// blocks is indexed by BlockID; slot 0 is never allocated, and a
+	// block without holders is deleted (or was never created).
+	blocks []blockMeta
+	// under has bit id set iff block id has at least one but fewer than
+	// `replication` valid replicas, so the planner visits just those.
+	under []uint64
+	// workers maps a WorkerID to its index; ids and datacenters are
+	// indexed by it, and order lists the indices sorted by WorkerID.
+	workers     map[WorkerID]int
+	ids         []WorkerID
+	datacenters []string
+	order       []int
 	replication int
 	now         func() time.Time
 	closed      bool
 
-	// under indexes the blocks with at least one but fewer than
-	// `replication` valid replicas, so UnderReplicated plans over just
-	// those instead of scanning every block in the namespace.
-	under map[BlockID]struct{}
-	// workerList caches the sorted worker IDs (registration is rare,
-	// planning is hot).
-	workerList []WorkerID
-
-	// Planner scratch, reused across UnderReplicated calls (guarded by mu).
-	idScratch   []BlockID
-	destScratch []WorkerID
-	taskScratch []ReplicationTask
+	// planScratch is UnderReplicated's result, reused across calls
+	// (guarded by mu).
+	planScratch []ReplicationTask
 }
 
+// blockMeta is one block's replica state over worker indices.
 type blockMeta struct {
-	id       BlockID
-	size     int64
-	replicas map[WorkerID]bool // true = valid, false = stale
+	size  int64
+	held  uint64 // workers holding a replica, valid or stale; 0 = deleted
+	valid uint64 // workers holding an up-to-date replica (within held)
 }
 
-type workerMeta struct {
-	id WorkerID
-	// datacenter groups workers for placement decisions.
-	datacenter string
+// task is a ReplicationTask on worker indices.
+type task struct {
+	block    BlockID
+	src, dst int
 }
 
 // NewMaster returns a master with the given target replication factor
@@ -115,52 +137,82 @@ func NewMaster(replication int) *Master {
 	}
 	return &Master{
 		files:       make(map[string]*FileInfo),
-		blocks:      make(map[BlockID]*blockMeta),
-		workers:     make(map[WorkerID]*workerMeta),
-		under:       make(map[BlockID]struct{}),
+		blocks:      make([]blockMeta, 1),
+		workers:     make(map[WorkerID]int),
 		replication: replication,
 		now:         time.Now,
 	}
 }
 
-// updateUnder reconciles the under-replication index for one block: a block
-// is under-replicated when it has at least one valid replica (someone to
-// copy from) but fewer than the target.
-func (m *Master) updateUnder(b *blockMeta) {
-	valid := 0
-	for _, v := range b.replicas {
-		if v {
-			valid++
-		}
+// block returns a live block's metadata (caller holds mu).
+func (m *Master) block(id BlockID) (*blockMeta, error) {
+	if id <= 0 || id >= BlockID(len(m.blocks)) || m.blocks[id].held == 0 {
+		return nil, fmt.Errorf("%w: %d", ErrBlockNotFound, id)
 	}
+	return &m.blocks[id], nil
+}
+
+// updateUnder reconciles the under-replication bit of one block: a block is
+// under-replicated when it has at least one valid replica (someone to copy
+// from) but fewer than the target.
+func (m *Master) updateUnder(id BlockID, b *blockMeta) {
+	valid := bits.OnesCount64(b.valid)
 	if valid >= 1 && valid < m.replication {
-		m.under[b.id] = struct{}{}
+		m.under[id>>6] |= 1 << (id & 63)
 	} else {
-		delete(m.under, b.id)
+		m.under[id>>6] &^= 1 << (id & 63)
 	}
 }
 
-// RegisterWorker adds a worker to the cluster.
+// RegisterWorker adds a worker to the cluster.  Registering a known worker
+// again only updates its datacenter.
 func (m *Master) RegisterWorker(id WorkerID, datacenter string) error {
+	_, err := m.register(id, datacenter)
+	return err
+}
+
+// register is RegisterWorker returning the worker's index.
+func (m *Master) register(id WorkerID, datacenter string) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return ErrClosed
+		return 0, ErrClosed
 	}
-	if _, ok := m.workers[id]; !ok {
-		m.workerList = append(m.workerList, id)
-		sort.Slice(m.workerList, func(i, j int) bool { return m.workerList[i] < m.workerList[j] })
+	if i, ok := m.workers[id]; ok {
+		m.datacenters[i] = datacenter
+		return i, nil
 	}
-	m.workers[id] = &workerMeta{id: id, datacenter: datacenter}
-	return nil
+	if len(m.ids) == maxWorkers {
+		return 0, fmt.Errorf("%w: %d workers", ErrTooManyWorkers, maxWorkers)
+	}
+	i := len(m.ids)
+	m.workers[id] = i
+	m.ids = append(m.ids, id)
+	m.datacenters = append(m.datacenters, datacenter)
+	at := sort.Search(len(m.order), func(k int) bool { return m.ids[m.order[k]] > id })
+	m.order = slices.Insert(m.order, at, i)
+	return i, nil
+}
+
+// index returns a registered worker's index.
+func (m *Master) index(id WorkerID) (int, error) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	i, ok := m.workers[id]
+	if !ok {
+		return 0, fmt.Errorf("%w: %s", ErrWorkerNotFound, id)
+	}
+	return i, nil
 }
 
 // Workers returns the registered worker IDs sorted for determinism.
 func (m *Master) Workers() []WorkerID {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	out := make([]WorkerID, len(m.workerList))
-	copy(out, m.workerList)
+	out := make([]WorkerID, len(m.order))
+	for k, i := range m.order {
+		out[k] = m.ids[i]
+	}
 	return out
 }
 
@@ -175,7 +227,8 @@ func (m *Master) Create(path string, size int64, primary WorkerID) (*FileInfo, e
 	if _, ok := m.files[path]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrFileExists, path)
 	}
-	if _, ok := m.workers[primary]; !ok {
+	w, ok := m.workers[primary]
+	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrWorkerNotFound, primary)
 	}
 	if size < 0 {
@@ -184,16 +237,17 @@ func (m *Master) Create(path string, size int64, primary WorkerID) (*FileInfo, e
 	blockSize := int64(DefaultBlockSize)
 	nBlocks := int((size + blockSize - 1) / blockSize)
 	fi := &FileInfo{Path: path, Size: size, BlockSize: blockSize, Modified: m.now()}
+	fi.Blocks = make([]BlockID, 0, nBlocks)
 	for i := 0; i < nBlocks; i++ {
 		bSize := blockSize
 		if i == nBlocks-1 && size%blockSize != 0 {
 			bSize = size % blockSize
 		}
-		m.nextBlockID++
-		id := m.nextBlockID
-		b := &blockMeta{id: id, size: bSize, replicas: map[WorkerID]bool{primary: true}}
-		m.blocks[id] = b
-		m.updateUnder(b)
+		id := BlockID(len(m.blocks))
+		m.blocks = grow(m.blocks, int(id)+1)
+		m.under = grow(m.under, int(id>>6)+1)
+		m.blocks[id] = blockMeta{size: bSize, held: 1 << w, valid: 1 << w}
+		m.updateUnder(id, &m.blocks[id])
 		fi.Blocks = append(fi.Blocks, id)
 	}
 	m.files[path] = fi
@@ -211,7 +265,7 @@ func (m *Master) Stat(path string) (*FileInfo, error) {
 	return cloneFileInfo(fi), nil
 }
 
-// Delete removes a file and its block metadata.
+// Delete removes a file and tombstones its block metadata.
 func (m *Master) Delete(path string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -219,9 +273,9 @@ func (m *Master) Delete(path string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrFileNotFound, path)
 	}
-	for _, b := range fi.Blocks {
-		delete(m.blocks, b)
-		delete(m.under, b)
+	for _, id := range fi.Blocks {
+		m.blocks[id] = blockMeta{}
+		m.under[id>>6] &^= 1 << (id & 63)
 	}
 	delete(m.files, path)
 	return nil
@@ -239,28 +293,24 @@ func (m *Master) Files() []string {
 	return out
 }
 
-// BlockLocations reports the block's replica state.
+// BlockLocations reports the block's replica state, workers in WorkerID
+// order.
 func (m *Master) BlockLocations(id BlockID) (*BlockInfo, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.blockLocationsLocked(id)
-}
-
-func (m *Master) blockLocationsLocked(id BlockID) (*BlockInfo, error) {
-	b, ok := m.blocks[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrBlockNotFound, id)
+	b, err := m.block(id)
+	if err != nil {
+		return nil, err
 	}
 	info := &BlockInfo{ID: id, Size: b.size}
-	for w, valid := range b.replicas {
-		if valid {
-			info.Valid = append(info.Valid, w)
-		} else {
-			info.Stale = append(info.Stale, w)
+	for _, i := range m.order {
+		switch {
+		case b.valid&(1<<i) != 0:
+			info.Valid = append(info.Valid, m.ids[i])
+		case b.held&(1<<i) != 0:
+			info.Stale = append(info.Stale, m.ids[i])
 		}
 	}
-	sort.Slice(info.Valid, func(i, j int) bool { return info.Valid[i] < info.Valid[j] })
-	sort.Slice(info.Stale, func(i, j int) bool { return info.Stale[i] < info.Stale[j] })
 	return info, nil
 }
 
@@ -270,18 +320,38 @@ func (m *Master) blockLocationsLocked(id BlockID) (*BlockInfo, error) {
 func (m *Master) CommitWrite(id BlockID, writer WorkerID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	b, ok := m.blocks[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrBlockNotFound, id)
+	if _, err := m.block(id); err != nil {
+		return err
 	}
-	if _, ok := m.workers[writer]; !ok {
+	w, ok := m.workers[writer]
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrWorkerNotFound, writer)
 	}
-	for w := range b.replicas {
-		b.replicas[w] = false
+	return m.commitWrite(id, w)
+}
+
+// commitWrites is CommitWrite for count blocks of fi from block index
+// first, wrapping past the last block, under one lock.
+func (m *Master) commitWrites(fi *FileInfo, first, count, writer int) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for k, i := 0, first; k < count; k, i = k+1, nextIndex(i, len(fi.Blocks)) {
+		if err := m.commitWrite(fi.Blocks[i], writer); err != nil {
+			return err
+		}
 	}
-	b.replicas[writer] = true
-	m.updateUnder(b)
+	return nil
+}
+
+// commitWrite applies a write by worker index w (caller holds mu).
+func (m *Master) commitWrite(id BlockID, w int) error {
+	b, err := m.block(id)
+	if err != nil {
+		return err
+	}
+	b.held |= 1 << w
+	b.valid = 1 << w
+	m.updateUnder(id, b)
 	return nil
 }
 
@@ -290,16 +360,24 @@ func (m *Master) CommitWrite(id BlockID, writer WorkerID) error {
 func (m *Master) CommitReplica(id BlockID, holder WorkerID) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	b, ok := m.blocks[id]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrBlockNotFound, id)
+	b, err := m.block(id)
+	if err != nil {
+		return err
 	}
-	if _, ok := m.workers[holder]; !ok {
+	w, ok := m.workers[holder]
+	if !ok {
 		return fmt.Errorf("%w: %s", ErrWorkerNotFound, holder)
 	}
-	b.replicas[holder] = true
-	m.updateUnder(b)
+	m.commitReplicas(id, b, 1<<w)
 	return nil
+}
+
+// commitReplicas marks the workers in a mask valid holders (caller holds
+// mu).
+func (m *Master) commitReplicas(id BlockID, b *blockMeta, workers uint64) {
+	b.held |= workers
+	b.valid |= workers
+	m.updateUnder(id, b)
 }
 
 // ReplicationTask asks a destination worker to copy a block from a source.
@@ -319,45 +397,66 @@ type ReplicationTask struct {
 func (m *Master) UnderReplicated() []ReplicationTask {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ids := m.idScratch[:0]
-	for id := range m.under {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	m.idScratch = ids
-
-	tasks := m.taskScratch[:0]
-	for _, id := range ids {
-		b := m.blocks[id]
-		// The index guarantees 1 <= valid < replication.
-		valid := 0
-		var source WorkerID
-		dests := m.destScratch[:0]
-		for _, w := range m.workerList { // stale holders first (cheapest refresh)
-			v, ok := b.replicas[w]
-			switch {
-			case ok && v:
-				if valid == 0 {
-					source = w
+	out := m.planScratch[:0]
+	m.plan(func(id BlockID, src int, stale, fresh uint64) {
+		for _, dests := range [2]uint64{stale, fresh} {
+			for _, i := range m.order {
+				if dests&(1<<i) != 0 {
+					out = append(out, ReplicationTask{Block: id, Source: m.ids[src], Dest: m.ids[i]})
 				}
-				valid++
-			case ok:
-				dests = append(dests, w)
 			}
 		}
-		for _, w := range m.workerList { // then workers holding no replica
-			if _, ok := b.replicas[w]; !ok {
-				dests = append(dests, w)
+	})
+	m.planScratch = out
+	return out
+}
+
+// plan hands emit one round of copies (caller holds mu), one call per
+// under-replicated block that has a destination, in ascending ID order:
+// the block's source, its first valid holder in WorkerID order, and its
+// destinations as two worker masks, the stale holders and then the workers
+// holding no replica, picked in WorkerID order up to the number of missing
+// valid replicas.  emit may commit the block's copies: the plan for a block
+// is fixed before emit sees it.
+func (m *Master) plan(emit func(id BlockID, src int, stale, fresh uint64)) {
+	all := uint64(1)<<len(m.ids) - 1
+	for wi, word := range m.under {
+		for ; word != 0; word &= word - 1 {
+			id := BlockID(wi<<6 + bits.TrailingZeros64(word))
+			held, valid := m.blocks[id].held, m.blocks[id].valid
+			src := bits.TrailingZeros64(valid)
+			if valid&(valid-1) != 0 {
+				src = bits.TrailingZeros64(m.firstInOrder(valid, 1))
 			}
-		}
-		m.destScratch = dests
-		need := m.replication - valid
-		for i := 0; i < need && i < len(dests); i++ {
-			tasks = append(tasks, ReplicationTask{Block: id, Source: source, Dest: dests[i]})
+			need := m.replication - bits.OnesCount64(valid)
+			stale, fresh := held&^valid, all&^held
+			if need < bits.OnesCount64(stale|fresh) {
+				// Fewer copies than candidates: stale holders first
+				// (cheapest refresh), then workers holding no replica.
+				stale = m.firstInOrder(stale, need)
+				fresh = m.firstInOrder(fresh, need-bits.OnesCount64(stale))
+			}
+			if stale|fresh != 0 {
+				emit(id, src, stale, fresh)
+			}
 		}
 	}
-	m.taskScratch = tasks
-	return tasks
+}
+
+// firstInOrder returns the first n workers of a mask in WorkerID order
+// (caller holds mu).
+func (m *Master) firstInOrder(mask uint64, n int) uint64 {
+	var out uint64
+	for _, i := range m.order {
+		if n == 0 {
+			break
+		}
+		if mask&(1<<i) != 0 {
+			out |= 1 << i
+			n--
+		}
+	}
+	return out
 }
 
 // StaleBlocksOn returns the blocks of a file whose replica on the given
@@ -369,11 +468,11 @@ func (m *Master) StaleBlocksOn(path string, worker WorkerID) ([]BlockID, int64, 
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: %s", ErrFileNotFound, path)
 	}
+	bit := m.bitOf(worker)
 	var out []BlockID
 	var bytes int64
 	for _, id := range fi.Blocks {
-		b := m.blocks[id]
-		if valid, ok := b.replicas[worker]; !ok || !valid {
+		if b := &m.blocks[id]; b.valid&bit == 0 {
 			out = append(out, id)
 			bytes += b.size
 		}
@@ -391,14 +490,42 @@ func (m *Master) StaleBytesOn(path string, worker WorkerID) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrFileNotFound, path)
 	}
+	bit := m.bitOf(worker)
 	var bytes int64
 	for _, id := range fi.Blocks {
-		b := m.blocks[id]
-		if valid, ok := b.replicas[worker]; !ok || !valid {
+		if b := &m.blocks[id]; b.valid&bit == 0 {
 			bytes += b.size
 		}
 	}
 	return bytes, nil
+}
+
+// bitOf returns a worker's bit in the replica masks; an unknown worker's is
+// 0, so it holds a valid replica of nothing (caller holds mu).
+func (m *Master) bitOf(worker WorkerID) uint64 {
+	if i, ok := m.workers[worker]; ok {
+		return 1 << i
+	}
+	return 0
+}
+
+// grow returns s resliced to length n, zero-filling the new elements and at
+// least doubling the capacity whenever it reallocates, so a table grown one
+// element at a time allocates O(n) in total.  s must never have been
+// shortened: the elements past its length must still be zero.
+func grow[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s[:cap(s)], make([]T, max(n, 2*cap(s))-cap(s))...)[:n]
+}
+
+// nextIndex steps a block index forward, wrapping past a file's last block.
+func nextIndex(i, n int) int {
+	if i++; i == n {
+		return 0
+	}
+	return i
 }
 
 // Close marks the master closed; subsequent mutations fail.

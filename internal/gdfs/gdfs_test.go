@@ -3,6 +3,7 @@ package gdfs
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -377,5 +378,50 @@ func TestUnderReplicatedPlanPrefersStaleHolders(t *testing.T) {
 	}
 	if tasks[0].Source != "dc-a" {
 		t.Errorf("source = %s, want dc-a (only valid holder)", tasks[0].Source)
+	}
+}
+
+// TestMasterWorkerLimit pins the dense index's bound: replica sets are
+// one-word bitmasks, so the 65th distinct worker is refused with
+// ErrTooManyWorkers, while re-registering a known worker still works.
+func TestMasterWorkerLimit(t *testing.T) {
+	m := NewMaster(2)
+	for i := 0; i < maxWorkers; i++ {
+		if err := m.RegisterWorker(WorkerID(fmt.Sprintf("w%02d", i)), "dc"); err != nil {
+			t.Fatalf("worker %d: %v", i, err)
+		}
+	}
+	if err := m.RegisterWorker("one-too-many", "dc"); !errors.Is(err, ErrTooManyWorkers) {
+		t.Fatalf("worker %d: want ErrTooManyWorkers, got %v", maxWorkers+1, err)
+	}
+	if err := m.RegisterWorker("w00", "elsewhere"); err != nil {
+		t.Fatalf("re-registering a known worker: %v", err)
+	}
+	if got := len(m.Workers()); got != maxWorkers {
+		t.Fatalf("Workers() has %d entries, want %d", got, maxWorkers)
+	}
+}
+
+// TestUnderReplicatedSourceIsFirstValidByID pins the planner's source when a
+// block has several valid replicas: the first valid holder in WorkerID
+// order, not in registration order.
+func TestUnderReplicatedSourceIsFirstValidByID(t *testing.T) {
+	m := NewMaster(4)
+	for _, w := range []WorkerID{"dc-3", "dc-1", "dc-2", "dc-0"} {
+		if err := m.RegisterWorker(w, string(w)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fi, err := m.Create("/f", DefaultBlockSize, "dc-3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := fi.Blocks[0]
+	if err := m.CommitReplica(id, "dc-2"); err != nil {
+		t.Fatal(err)
+	}
+	want := []ReplicationTask{{Block: id, Source: "dc-2", Dest: "dc-0"}, {Block: id, Source: "dc-2", Dest: "dc-1"}}
+	if got := m.UnderReplicated(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("UnderReplicated = %v, want %v", got, want)
 	}
 }

@@ -12,9 +12,10 @@ import (
 var ErrMetadataOnly = errors.New("gdfs: metadata-plane store holds no payload")
 
 // BlockMeta is a block replica reduced to scalars.  Two replicas hold the
-// same content iff their BlockMeta are equal: every mutation bumps Version,
-// and Digest is a deterministic function of the content (or, for synthetic
-// dirty writes, of the block identity and version).
+// same content iff their BlockMeta are equal: every mutation bumps Version
+// (a replica's first version is 1), and Digest is a deterministic function
+// of the content (or, for synthetic dirty writes, of the block identity and
+// version).
 type BlockMeta struct {
 	Version uint64
 	Length  int64
@@ -29,10 +30,18 @@ type BlockMeta struct {
 // — pinned by TestMetaPayloadEquivalence.  ReadBlock is the one deliberate
 // gap (ErrMetadataOnly): a metadata cluster must be homogeneous, since a
 // payload store cannot re-replicate from a metadata source.
+//
+// The records live in a slice indexed by BlockID, which grows to the
+// largest ID stored: IDs must be the dense, sequential ones a Master
+// allocates.  DirtyRange dirties a whole range under one lock, and a
+// cluster's replication round locks each MetaWorker once for all its
+// copies (Cluster.ReplicateOnce).
 type MetaWorker struct {
-	id    WorkerID
-	mu    sync.RWMutex
-	meta  map[BlockID]BlockMeta
+	id WorkerID
+	mu sync.RWMutex
+	// slots is indexed by BlockID; a zero record (Version 0) is a block
+	// the worker does not hold.
+	slots []BlockMeta
 	bytes int64
 }
 
@@ -46,11 +55,50 @@ var (
 
 // NewMetaWorker returns an empty metadata-plane worker.
 func NewMetaWorker(id WorkerID) *MetaWorker {
-	return &MetaWorker{id: id, meta: make(map[BlockID]BlockMeta)}
+	return &MetaWorker{id: id}
 }
 
 // ID returns the worker's identity.
 func (w *MetaWorker) ID() WorkerID { return w.id }
+
+// reserve extends the table to cover block IDs below n, so install can
+// store them (caller holds mu for writing).
+func (w *MetaWorker) reserve(n int) {
+	if n > len(w.slots) {
+		w.slots = grow(w.slots, n)
+	}
+}
+
+// install replaces the record of a block ID the table covers, accounting
+// the bytes (caller holds mu for writing).
+func (w *MetaWorker) install(id BlockID, m BlockMeta) {
+	s := &w.slots[id]
+	w.bytes += m.Length - s.Length
+	*s = m
+}
+
+// set checks a record and installs it, growing the table to cover it
+// (caller holds mu for writing).
+func (w *MetaWorker) set(id BlockID, m BlockMeta) error {
+	if id < 0 {
+		return fmt.Errorf("%w: %d", ErrBlockNotFound, id)
+	}
+	if m.Version == 0 {
+		return fmt.Errorf("gdfs: block %d: a replica record needs a version", id)
+	}
+	w.reserve(int(id) + 1)
+	w.install(id, m)
+	return nil
+}
+
+// get returns the block's record (caller holds mu).
+func (w *MetaWorker) get(id BlockID) (BlockMeta, bool) {
+	if id < 0 || id >= BlockID(len(w.slots)) {
+		return BlockMeta{}, false
+	}
+	m := w.slots[id]
+	return m, m.Version != 0
+}
 
 // digestBytes fingerprints payload content (FNV-1a) so a payload write
 // through the generic interface still lands with a content-derived digest.
@@ -86,31 +134,36 @@ func zeroDigest(size int64) uint64 { return uint64(size) * 0xc2b2ae3d27d4eb4f }
 func (w *MetaWorker) WriteBlock(id BlockID, data []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	old := w.meta[id]
-	w.bytes += int64(len(data)) - old.Length
-	w.meta[id] = BlockMeta{Version: old.Version + 1, Length: int64(len(data)), Digest: digestBytes(data)}
-	return nil
+	old, _ := w.get(id)
+	return w.set(id, BlockMeta{Version: old.Version + 1, Length: int64(len(data)), Digest: digestBytes(data)})
 }
 
 // CreateBlock registers a fresh all-zero block of the given size.
 func (w *MetaWorker) CreateBlock(id BlockID, size int64) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	old := w.meta[id]
-	w.bytes += size - old.Length
-	w.meta[id] = BlockMeta{Version: old.Version + 1, Length: size, Digest: zeroDigest(size)}
-	return nil
+	old, _ := w.get(id)
+	return w.set(id, BlockMeta{Version: old.Version + 1, Length: size, Digest: zeroDigest(size)})
 }
 
-// DirtyBlock records a whole-block overwrite of the given size without any
-// payload: version bump plus a synthetic content digest.
-func (w *MetaWorker) DirtyBlock(id BlockID, size int64) error {
+// DirtyRange records whole-block overwrites of count blocks of fi, from
+// block index first and wrapping past the last block, without any payload:
+// per block a version bump plus a synthetic content digest, all under one
+// lock.
+func (w *MetaWorker) DirtyRange(fi *FileInfo, first, count int) error {
+	if err := checkRange(fi, first, count); err != nil {
+		return err
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	old := w.meta[id]
-	v := old.Version + 1
-	w.bytes += size - old.Length
-	w.meta[id] = BlockMeta{Version: v, Length: size, Digest: dirtyDigest(id, v)}
+	for k, i := 0, first; k < count; k, i = k+1, nextIndex(i, len(fi.Blocks)) {
+		id := fi.Blocks[i]
+		old, _ := w.get(id)
+		v := old.Version + 1
+		if err := w.set(id, BlockMeta{Version: v, Length: fi.BlockSizeAt(i), Digest: dirtyDigest(id, v)}); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -123,8 +176,7 @@ func (w *MetaWorker) ReadBlock(id BlockID) ([]byte, error) {
 func (w *MetaWorker) BlockMeta(id BlockID) (BlockMeta, bool) {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	m, ok := w.meta[id]
-	return m, ok
+	return w.get(id)
 }
 
 // PutBlockMeta installs a replica copied from another metadata store,
@@ -132,17 +184,14 @@ func (w *MetaWorker) BlockMeta(id BlockID) (BlockMeta, bool) {
 func (w *MetaWorker) PutBlockMeta(id BlockID, m BlockMeta) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	old := w.meta[id]
-	w.bytes += m.Length - old.Length
-	w.meta[id] = m
-	return nil
+	return w.set(id, m)
 }
 
 // HasBlock reports whether the worker holds the block.
 func (w *MetaWorker) HasBlock(id BlockID) bool {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	_, ok := w.meta[id]
+	_, ok := w.get(id)
 	return ok
 }
 
@@ -150,9 +199,9 @@ func (w *MetaWorker) HasBlock(id BlockID) bool {
 func (w *MetaWorker) DeleteBlock(id BlockID) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if m, ok := w.meta[id]; ok {
+	if m, ok := w.get(id); ok {
 		w.bytes -= m.Length
-		delete(w.meta, id)
+		w.slots[id] = BlockMeta{}
 	}
 	return nil
 }

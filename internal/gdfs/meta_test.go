@@ -4,33 +4,51 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 )
 
 // planePair is one cluster per data plane, driven through identical op
-// sequences so every externally visible counter can be compared.
+// sequences so every externally visible counter can be compared.  workers
+// is sorted by WorkerID; clients are indexed like it.
 type planePair struct {
 	payload, meta               *Cluster
 	payloadClients, metaClients []*Client
 	workers                     []WorkerID
+	replication                 int
 }
 
 func newPlanePair(t *testing.T, nWorkers, replication int) *planePair {
 	t.Helper()
-	p := &planePair{
-		payload: NewCluster(NewMaster(replication)),
-		meta:    NewCluster(NewMaster(replication)),
+	order := make([]WorkerID, nWorkers)
+	for i := range order {
+		order[i] = WorkerID(fmt.Sprintf("dc-%d", i))
 	}
-	for i := 0; i < nWorkers; i++ {
-		id := WorkerID(fmt.Sprintf("dc-%d", i))
-		p.workers = append(p.workers, id)
-		if err := p.payload.AddWorker(NewWorker(id), string(id)); err != nil {
+	return newPlanePairOrdered(t, order, order, replication)
+}
+
+// newPlanePairOrdered registers the same workers with each plane's master
+// in its own order, so any result that depends on registration order (a
+// planner walking worker indices instead of WorkerIDs) splits the planes.
+func newPlanePairOrdered(t *testing.T, payloadOrder, metaOrder []WorkerID, replication int) *planePair {
+	t.Helper()
+	p := &planePair{
+		payload:     NewCluster(NewMaster(replication)),
+		meta:        NewCluster(NewMaster(replication)),
+		workers:     slices.Sorted(slices.Values(payloadOrder)),
+		replication: replication,
+	}
+	for i := range payloadOrder {
+		if err := p.payload.AddWorker(NewWorker(payloadOrder[i]), string(payloadOrder[i])); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.meta.AddWorker(NewMetaWorker(id), string(id)); err != nil {
+		if err := p.meta.AddWorker(NewMetaWorker(metaOrder[i]), string(metaOrder[i])); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for _, id := range p.workers {
 		pc, err := p.payload.NewClient(id)
 		if err != nil {
 			t.Fatal(err)
@@ -47,7 +65,10 @@ func newPlanePair(t *testing.T, nWorkers, replication int) *planePair {
 
 // check asserts the two planes agree on every externally visible counter:
 // per-worker BytesStored, per-block replica sets, the re-replication plan,
-// and pending-migration bytes for every (file, worker) pair.
+// and pending-migration bytes for every (file, worker) pair.  It also holds
+// the plan to an oracle built from the replica sets and the sorted worker
+// list, and requires every valid replica on the metadata plane to carry the
+// same record.
 func (p *planePair) check(t *testing.T, label string) {
 	t.Helper()
 	for _, w := range p.workers {
@@ -67,11 +88,14 @@ func (p *planePair) check(t *testing.T, label string) {
 			t.Fatalf("%s: task %d payload=%+v meta=%+v", label, i, pTasks[i], mTasks[i])
 		}
 	}
+	var want []ReplicationTask
+	var blocks []BlockID
 	for _, path := range p.payload.Master().Files() {
 		fi, err := p.payload.Master().Stat(path)
 		if err != nil {
 			t.Fatal(err)
 		}
+		blocks = append(blocks, fi.Blocks...)
 		for _, id := range fi.Blocks {
 			pl, err := p.payload.Master().BlockLocations(id)
 			if err != nil {
@@ -84,6 +108,7 @@ func (p *planePair) check(t *testing.T, label string) {
 			if fmt.Sprint(pl) != fmt.Sprint(ml) {
 				t.Fatalf("%s: block %d locations payload=%v meta=%v", label, id, pl, ml)
 			}
+			p.checkValidRecords(t, label, id, ml.Valid)
 		}
 		for wi, w := range p.workers {
 			pb, err := p.payloadClients[wi].PendingMigrationBytes(path, w)
@@ -97,6 +122,58 @@ func (p *planePair) check(t *testing.T, label string) {
 			if pb != mb {
 				t.Fatalf("%s: pending bytes to %s for %s payload=%d meta=%d", label, w, path, pb, mb)
 			}
+		}
+	}
+	slices.Sort(blocks)
+	for _, id := range blocks {
+		loc, _ := p.meta.Master().BlockLocations(id)
+		want = append(want, p.oraclePlan(loc)...)
+	}
+	if fmt.Sprint(want) != fmt.Sprint(mTasks) {
+		t.Fatalf("%s: UnderReplicated = %v, oracle wants %v", label, mTasks, want)
+	}
+}
+
+// oraclePlan is the documented re-replication plan of one block, derived
+// from its replica sets alone: copy from the first valid holder in WorkerID
+// order to the stale holders, then to the workers holding nothing, each in
+// WorkerID order, until the block has `replication` valid replicas.
+func (p *planePair) oraclePlan(loc *BlockInfo) []ReplicationTask {
+	valid := slices.Sorted(slices.Values(loc.Valid))
+	stale := slices.Sorted(slices.Values(loc.Stale))
+	need := p.replication - len(valid)
+	if len(valid) == 0 || need <= 0 {
+		return nil
+	}
+	dests := stale
+	for _, w := range p.workers {
+		if !slices.Contains(valid, w) && !slices.Contains(stale, w) {
+			dests = append(dests, w)
+		}
+	}
+	var out []ReplicationTask
+	for _, d := range dests[:min(need, len(dests))] {
+		out = append(out, ReplicationTask{Block: loc.ID, Source: valid[0], Dest: d})
+	}
+	return out
+}
+
+// checkValidRecords requires every valid replica of a block on the metadata
+// plane to hold the same record: a copy marked valid must be a copy of the
+// current content, however writes and replication rounds interleaved.
+func (p *planePair) checkValidRecords(t *testing.T, label string, id BlockID, valid []WorkerID) {
+	t.Helper()
+	var first BlockMeta
+	for i, w := range valid {
+		s, _ := p.meta.store(w)
+		rec, ok := s.(*MetaWorker).BlockMeta(id)
+		if !ok {
+			t.Fatalf("%s: block %d valid on %s but not stored there", label, id, w)
+		}
+		if i == 0 {
+			first = rec
+		} else if rec != first {
+			t.Fatalf("%s: block %d valid replicas differ: %s=%+v %s=%+v", label, id, valid[0], first, w, rec)
 		}
 	}
 }
@@ -228,6 +305,214 @@ func TestMetaPayloadEquivalenceConcurrent(t *testing.T) {
 	p.check(t, "after concurrent dirtying")
 }
 
+// TestMetaPayloadEquivalenceDense drives both planes through the cases the
+// dense worker and block indices must get right: four workers registered in
+// a different non-sorted order on each plane, dirty ranges that wrap past a
+// file's last block, and a Delete mid-schedule followed by a Create whose
+// blocks land after the tombstones.  It runs at replication equal to the
+// worker count (the emulation's setting, where every round copies to all
+// non-valid workers) and at replication 2, where the planner must choose
+// which worker gets the one missing copy.  Plans, replica sets and counters
+// must agree after every step, and the plan must match the WorkerID-order
+// oracle.
+func TestMetaPayloadEquivalenceDense(t *testing.T) {
+	for _, replication := range []int{4, 2} {
+		t.Run(fmt.Sprintf("replication=%d", replication), func(t *testing.T) {
+			testDenseSchedule(t, replication)
+		})
+	}
+}
+
+func testDenseSchedule(t *testing.T, replication int) {
+	p := newPlanePairOrdered(t,
+		[]WorkerID{"dc-2", "dc-0", "dc-3", "dc-1"},
+		[]WorkerID{"dc-3", "dc-1", "dc-2", "dc-0"}, replication)
+	rng := rand.New(rand.NewSource(11))
+
+	type file struct {
+		path     string
+		home     int
+		pfi, mfi *FileInfo
+	}
+	var files []*file
+	create := func(path string, size int64, home int) {
+		t.Helper()
+		pfi, err := p.payloadClients[home].Create(path, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mfi, err := p.metaClients[home].Create(path, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, &file{path: path, home: home, pfi: pfi, mfi: mfi})
+	}
+	create("/vm/a/disk", DefaultBlockSize*2+100, 0)
+	create("/vm/b/disk", DefaultBlockSize+5, 1)
+	create("/vm/c/disk", 777, 3)
+	p.check(t, "after create")
+
+	// The wrapping range: the last block, then the first one.
+	f := files[0]
+	if err := p.payloadClients[f.home].DirtyRange(f.pfi, 2, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.metaClients[f.home].DirtyRange(f.mfi, 2, 2); err != nil {
+		t.Fatal(err)
+	}
+	p.check(t, "after wrapping dirty")
+
+	for round := 0; round < 40; round++ {
+		switch op := rng.Intn(4); {
+		case round == 20: // delete a file mid-schedule, then create another
+			gone := files[1]
+			if err := p.payload.Master().Delete(gone.path); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.meta.Master().Delete(gone.path); err != nil {
+				t.Fatal(err)
+			}
+			files = slices.Delete(files, 1, 2)
+			create("/vm/d/disk", DefaultBlockSize+9, 2)
+		case op == 0: // dirty a random (possibly wrapping) range at home
+			f := files[rng.Intn(len(files))]
+			n := len(f.pfi.Blocks)
+			first, count := rng.Intn(n), 1+rng.Intn(n)
+			if err := p.payloadClients[f.home].DirtyRange(f.pfi, first, count); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.metaClients[f.home].DirtyRange(f.mfi, first, count); err != nil {
+				t.Fatal(err)
+			}
+		case op == 1: // the file "migrates": dirty writes start at a new home
+			files[rng.Intn(len(files))].home = rng.Intn(len(p.workers))
+		default: // background re-replication round
+			if pc, mc := p.payload.ReplicateOnce(), p.meta.ReplicateOnce(); pc != mc {
+				t.Fatalf("round %d: ReplicateOnce payload=%d meta=%d", round, pc, mc)
+			}
+		}
+		p.check(t, fmt.Sprintf("round %d", round))
+	}
+}
+
+// TestReplicateOnceConcurrent is the emulation's sharing pattern under
+// -race: replication rounds (explicit and from StartReplicator) run while
+// migration shards read pending bytes and writers dirty disjoint files, on
+// both planes.  Once the writers stop and the clusters are re-replicated,
+// the planes must agree and every valid replica must hold current content.
+func TestReplicateOnceConcurrent(t *testing.T) {
+	p := newPlanePair(t, 3, 3)
+	const nFiles = 4
+	type file struct {
+		path     string
+		home     int
+		pfi, mfi *FileInfo
+	}
+	files := make([]file, nFiles)
+	for i := range files {
+		home := i % len(p.workers)
+		path := fmt.Sprintf("/vm/%d/disk", i)
+		pfi, err := p.payloadClients[home].Create(path, DefaultBlockSize+4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mfi, err := p.metaClients[home].Create(path, DefaultBlockSize+4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[i] = file{path: path, home: home, pfi: pfi, mfi: mfi}
+	}
+	p.payload.StartReplicator(time.Millisecond)
+	p.meta.StartReplicator(time.Millisecond)
+
+	var writers, others sync.WaitGroup
+	stop := make(chan struct{})
+	errs := make(chan error, nFiles+2) // each writer and pricing shard fails at most once
+	for i := range files {
+		writers.Add(1)
+		go func(f file) { // one writer per file, with its own clients
+			defer writers.Done()
+			pc, err := p.payload.NewClient(p.workers[f.home])
+			if err != nil {
+				errs <- err
+				return
+			}
+			mc, err := p.meta.NewClient(p.workers[f.home])
+			if err != nil {
+				errs <- err
+				return
+			}
+			for round := 0; round < 30; round++ {
+				first := round % len(f.pfi.Blocks)
+				if err := pc.DirtyRange(f.pfi, first, 2); err != nil {
+					errs <- err
+					return
+				}
+				if err := mc.DirtyRange(f.mfi, first, 2); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(files[i])
+	}
+	for _, c := range []*Cluster{p.payload, p.meta} {
+		others.Add(2)
+		go func(c *Cluster) { // explicit rounds beside the background loop
+			defer others.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					c.ReplicateOnce()
+				}
+			}
+		}(c)
+		go func(c *Cluster) { // a migration shard pricing moves
+			defer others.Done()
+			cl, err := c.NewClient(p.workers[0])
+			if err != nil {
+				errs <- err
+				return
+			}
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for _, f := range files {
+					for _, w := range p.workers {
+						if _, err := cl.PendingMigrationBytes(f.path, w); err != nil {
+							errs <- err
+							return
+						}
+						if _, err := c.Master().StaleBytesOn(f.path, w); err != nil {
+							errs <- err
+							return
+						}
+					}
+				}
+			}
+		}(c)
+	}
+	writers.Wait()
+	close(stop)
+	others.Wait()
+	p.payload.StopReplicator()
+	p.meta.StopReplicator()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	p.payload.ReplicateOnce()
+	p.meta.ReplicateOnce()
+	if n := len(p.meta.Master().UnderReplicated()); n != 0 {
+		t.Fatalf("%d copies still planned after a quiet round", n)
+	}
+	p.check(t, "after concurrent rounds")
+}
+
 // TestMetaWorkerReadIsMetadataOnly pins the one deliberate contract gap of
 // the metadata plane.
 func TestMetaWorkerReadIsMetadataOnly(t *testing.T) {
@@ -237,6 +522,22 @@ func TestMetaWorkerReadIsMetadataOnly(t *testing.T) {
 	}
 	if _, err := w.ReadBlock(1); !errors.Is(err, ErrMetadataOnly) {
 		t.Fatalf("want ErrMetadataOnly, got %v", err)
+	}
+}
+
+// TestMetaWorkerRejectsBadRecords pins the dense table's input checks: a
+// record without a version would read back as an absent block, and a
+// negative BlockID has no slot, so both are refused and nothing is stored.
+func TestMetaWorkerRejectsBadRecords(t *testing.T) {
+	w := NewMetaWorker("dc-0")
+	if err := w.PutBlockMeta(3, BlockMeta{Length: 64}); err == nil {
+		t.Fatal("unversioned record accepted")
+	}
+	if err := w.CreateBlock(-1, 64); !errors.Is(err, ErrBlockNotFound) {
+		t.Fatalf("negative block ID: want ErrBlockNotFound, got %v", err)
+	}
+	if w.HasBlock(3) || w.HasBlock(-1) || w.BytesStored() != 0 {
+		t.Fatalf("rejected records left state behind: %d bytes", w.BytesStored())
 	}
 }
 

@@ -34,11 +34,12 @@ type (
 	blockCreator interface {
 		CreateBlock(id BlockID, size int64) error
 	}
-	// blockDirtier records a whole-block overwrite as a version bump —
-	// the metadata-plane write.  Payload stores deliberately do not
-	// implement it, so the payload plane keeps storing real bytes.
+	// blockDirtier records whole-block overwrites of a file's block range
+	// as version bumps — the metadata-plane write.  Payload stores
+	// deliberately do not implement it, so the payload plane keeps storing
+	// real bytes.
 	blockDirtier interface {
-		DirtyBlock(id BlockID, size int64) error
+		DirtyRange(fi *FileInfo, first, count int) error
 	}
 	// metaSource / metaSink replicate a block as {version, length,
 	// digest} scalars, accounting the bytes arithmetically.

@@ -3,7 +3,9 @@ package lp
 import (
 	"bytes"
 	"errors"
+	"hash/fnv"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -147,5 +149,63 @@ func TestBasisCodecRejectsCorrupt(t *testing.T) {
 	}
 	if _, err := (*Basis)(nil).MarshalBinary(); !errors.Is(err, ErrBasisEncoding) {
 		t.Fatal("nil basis marshalled")
+	}
+}
+
+// FuzzDecodeBasis feeds DecodeBasis arbitrary bytes, seeded with snapshots
+// of real partition-LP bases (the daemon persists exactly these).  Each
+// input is tried as given and with its checksum recomputed, so mutations
+// reach the structural decoder instead of dying at the checksum.  DecodeBasis
+// must never panic, and any basis it accepts must re-encode to bytes that
+// decode to an equal basis.
+func FuzzDecodeBasis(f *testing.F) {
+	for _, shape := range []struct {
+		nDC, horizon int
+		phase        float64
+		rule         PricingRule
+	}{
+		{3, 12, 0, PricingDevex},
+		{3, 24, 1.3, PricingDevex},
+		{2, 6, 0.4, PricingDantzig},
+	} {
+		sol := solveWithRule(f, partitionShapedLP(f, shape.nDC, shape.horizon, shape.phase), shape.rule)
+		enc, err := sol.Basis().MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(enc)
+	}
+	f.Add([]byte("GNB1"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecodeBasis(t, data)
+		if len(data) >= len(basisMagic)+8 {
+			fixed := append([]byte(nil), data...)
+			h := fnv.New64a()
+			h.Write(fixed[:len(fixed)-8])
+			h.Sum(fixed[:len(fixed)-8])
+			checkDecodeBasis(t, fixed)
+		}
+	})
+}
+
+// checkDecodeBasis asserts the codec's round-trip property on one input.
+func checkDecodeBasis(t *testing.T, data []byte) {
+	b, err := DecodeBasis(data)
+	if err != nil {
+		if !errors.Is(err, ErrBasisEncoding) {
+			t.Fatalf("rejection does not wrap ErrBasisEncoding: %v", err)
+		}
+		return
+	}
+	enc, err := b.MarshalBinary()
+	if err != nil {
+		t.Fatalf("accepted basis does not re-encode: %v", err)
+	}
+	again, err := DecodeBasis(enc)
+	if err != nil {
+		t.Fatalf("re-encoded basis does not decode: %v", err)
+	}
+	if !reflect.DeepEqual(b, again) {
+		t.Fatalf("round trip changed the basis: %+v -> %+v", b, again)
 	}
 }

@@ -70,12 +70,24 @@ func (d *Daemon) Handler() http.Handler {
 	return mux
 }
 
-// readJSON decodes a request body, answering 400 on malformed input.
+// maxBodyBytes caps a request body.  A tick names at most one scale per
+// datacenter and a what-if a list of candidate sites, so real requests are
+// a few kilobytes; the cap keeps a hostile client from streaming the daemon
+// out of memory.
+const maxBodyBytes = 1 << 20
+
+// readJSON decodes a request body, answering 413 on a body over
+// maxBodyBytes and 400 on malformed input.
 func readJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, map[string]string{"error": err.Error()})
 		return false
 	}
 	return true

@@ -99,6 +99,48 @@ func TestHTTPRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHTTPOversizedBodies pins the intake cap: a /tick or /whatif body over
+// maxBodyBytes is refused with 413 before it is decoded in full, and the
+// daemon keeps serving (the oversized tick did not advance the plan).
+func TestHTTPOversizedBodies(t *testing.T) {
+	d, err := New(Config{Trace: testSpec()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(d.Handler())
+	defer srv.Close()
+
+	post := func(path string, body []byte) int {
+		t.Helper()
+		resp, err := srv.Client().Post(srv.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	// A syntactically valid tick whose one site name outgrows the cap.
+	tick := fmt.Appendf(nil, `{"green_scale": {"%s": 1}}`, bytes.Repeat([]byte("a"), maxBodyBytes))
+	if code := post("/tick", tick); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized /tick: status %d, want 413", code)
+	}
+	// A what-if with more candidates than the cap can hold.
+	cand := []byte(`{"site": "nowhere", "capacity_kw": 1},`)
+	whatif := append([]byte(`{"candidates": [`), bytes.Repeat(cand, maxBodyBytes/len(cand)+1)...)
+	whatif = append(whatif, `{"site": "nowhere"}]}`...)
+	if code := post("/whatif", whatif); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized /whatif: status %d, want 413", code)
+	}
+
+	var view PlanView
+	if code := postJSON(t, srv, "/tick", TickRequest{}, &view); code != http.StatusOK {
+		t.Fatalf("tick after oversized bodies: status %d", code)
+	}
+	if view.Tick != 1 {
+		t.Fatalf("view.Tick = %d after one accepted tick, want 1", view.Tick)
+	}
+}
+
 // TestWhatIfSessions pins session semantics: per-session evaluators answer
 // deterministically, a session survives across queries, close works, and the
 // spec knobs apply at session creation.
