@@ -55,7 +55,7 @@ func run() error {
 	)
 	flag.IntVar(&spec.Sites, "sites", 0, "location catalog size (0 = default)")
 	flag.Int64Var(&spec.Seed, "seed", 0, "catalog seed (0 = default)")
-	flag.IntVar(&spec.Datacenters, "datacenters", 0, "datacenter count (0 = default)")
+	flag.IntVar(&spec.Datacenters, "datacenters", 0, "datacenter count (0 = default, at most 64)")
 	flag.IntVar(&spec.VMs, "vms", 0, "HPC fleet size (0 = default)")
 	flag.IntVar(&spec.StartHour, "start-hour", 0, "trace start hour (0 = default)")
 	flag.IntVar(&spec.HorizonHours, "horizon", 0, "prediction horizon hours (0 = default)")

@@ -184,10 +184,17 @@
 //     replicator, the migration shards' concurrent pending-bytes reads and
 //     the rpc stores need them — but each is taken once per batch, not
 //     once per block: Client.DirtyRange dirties a file's whole hourly range
-//     under one store lock and one master lock, and Cluster.ReplicateOnce
-//     plans, copies and commits a round under one master lock and one lock
-//     per metadata store, which also makes the round atomic with respect
-//     to writes.
+//     on a metadata-plane store under one master lock and, inside it, one
+//     store lock, and
+//     Cluster.ReplicateOnce plans a round and makes and commits its
+//     metadata-to-metadata copies under one master lock and one lock per
+//     metadata store, so no write lands between such a copy and its
+//     commit.  Copies to or from payload and remote stores run after the
+//     master lock is released, so a slow or hung store never blocks the
+//     master; each commits only if its block's write generation has not
+//     moved since the plan.  A master holds at most gdfs.MaxWorkers (64)
+//     workers, so an emulation or a plannerd trace takes at most 64
+//     datacenters.
 //
 //   - emul.Runner owns every per-run and per-hour buffer: green/PUE traces
 //     and forecast windows live in series.Blocks, predictors fill

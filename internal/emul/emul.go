@@ -64,7 +64,8 @@ type DatacenterConfig struct {
 
 // Config describes a whole emulation run.
 type Config struct {
-	// Datacenters are the sites of the network (the paper uses three).
+	// Datacenters are the sites of the network (the paper uses three):
+	// at least two and at most MaxDatacenters.
 	Datacenters []DatacenterConfig
 	// VMs is the workload to host (the paper's validation uses 9 HPC VMs;
 	// the Fig. 15 experiment scales the same shape up to the datacenter
@@ -137,10 +138,15 @@ type Result struct {
 	GreenFraction float64
 }
 
+// MaxDatacenters is the most sites an emulation takes: each runs one GDFS
+// worker, and a GDFS master holds at most gdfs.MaxWorkers.
+const MaxDatacenters = gdfs.MaxWorkers
+
 // Errors returned by Run.
 var (
-	ErrNoDatacenters = errors.New("emul: need at least two datacenters")
-	ErrNoVMs         = errors.New("emul: need at least one VM")
+	ErrNoDatacenters      = errors.New("emul: need at least two datacenters")
+	ErrTooManyDatacenters = errors.New("emul: too many datacenters")
+	ErrNoVMs              = errors.New("emul: need at least one VM")
 )
 
 // maxGDFSDiskMB caps how much of each VM's disk is materialized in the
@@ -263,6 +269,9 @@ type Tick struct {
 func NewRunner(cfg Config) (*Runner, error) {
 	if len(cfg.Datacenters) < 2 {
 		return nil, ErrNoDatacenters
+	}
+	if len(cfg.Datacenters) > MaxDatacenters {
+		return nil, fmt.Errorf("%w: %d, at most %d", ErrTooManyDatacenters, len(cfg.Datacenters), MaxDatacenters)
 	}
 	if len(cfg.VMs) == 0 {
 		return nil, ErrNoVMs

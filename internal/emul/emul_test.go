@@ -72,6 +72,15 @@ func testConfig(t *testing.T, hours int) Config {
 	}
 }
 
+// TestRunRejectsTooManyDatacenters pins the GDFS bound at the emulation's
+// intake: one worker per site, at most MaxDatacenters sites.
+func TestRunRejectsTooManyDatacenters(t *testing.T) {
+	cfg := Config{Datacenters: make([]DatacenterConfig, MaxDatacenters+1)}
+	if _, err := NewRunner(cfg); !errors.Is(err, ErrTooManyDatacenters) {
+		t.Fatalf("%d datacenters: want ErrTooManyDatacenters, got %v", MaxDatacenters+1, err)
+	}
+}
+
 func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{}); !errors.Is(err, ErrNoDatacenters) {
 		t.Errorf("want ErrNoDatacenters, got %v", err)

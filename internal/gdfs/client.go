@@ -14,12 +14,15 @@ import (
 type Cluster struct {
 	master *Master
 
-	// stores is indexed by the master's worker index; metas holds the
-	// same stores where they are metadata-plane workers (nil elsewhere),
-	// which ReplicateOnce copies between in one locked batch.
+	// stores is indexed by the master's worker index.
 	mu     sync.RWMutex
 	stores []BlockStore
-	metas  []*MetaWorker
+
+	// copyMu serializes the copies made outside the master lock
+	// (ReplicateOnce's payload and remote copies, fetches): two copies in
+	// opposite directions between payload workers would otherwise each
+	// hold one store's read lock while waiting for the other's write lock.
+	copyMu sync.Mutex
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -48,10 +51,8 @@ func (c *Cluster) AddWorker(store BlockStore, datacenter string) error {
 	defer c.mu.Unlock()
 	for len(c.stores) <= i {
 		c.stores = append(c.stores, nil)
-		c.metas = append(c.metas, nil)
 	}
 	c.stores[i] = store
-	c.metas[i], _ = store.(*MetaWorker)
 	return nil
 }
 
@@ -75,11 +76,12 @@ func (c *Cluster) storeAt(id WorkerID, i int) (BlockStore, error) {
 	return c.stores[i], nil
 }
 
-// metaAt returns the metadata-plane store at a worker index, or nil
-// (caller holds mu).
+// metaAt returns the store at a worker index if it is a metadata-plane
+// worker, or nil (caller holds mu).
 func (c *Cluster) metaAt(i int) *MetaWorker {
-	if i < len(c.metas) {
-		return c.metas[i]
+	if i < len(c.stores) {
+		w, _ := c.stores[i].(*MetaWorker)
+		return w
 	}
 	return nil
 }
@@ -119,27 +121,55 @@ func (c *Cluster) StopReplicator() {
 // ReplicateOnce performs one round of re-replication synchronously and
 // returns the number of blocks copied.
 //
-// The round is atomic with respect to the master: it plans, copies and
-// commits under one master lock, so no write can invalidate a block between
-// its copy and the commit that marks the copy valid.  Copies between
-// metadata-plane workers move a BlockMeta record each, with every such
-// worker locked once for the whole round; copies involving any other store
-// run after those locks are released, block by block through the stores'
-// own locks.
+// The round plans under one master lock.  Copies between metadata-plane
+// workers move a BlockMeta record each and commit under that same lock,
+// with every such worker locked once for the whole round, so no write can
+// land between one of these copies and its commit.  Copies with a payload
+// or remote store at either end run after every lock is released, so a
+// slow store stalls the round but never the master; each commits only if
+// its block was not deleted or rewritten since the plan.  What these
+// copies do not exclude is a write into the destination replica itself
+// while the copy runs: the copy can overwrite it.
 func (c *Cluster) ReplicateOnce() int {
+	copied, rest := c.replicateMeta()
+	if len(rest) == 0 {
+		return copied
+	}
+	c.copyMu.Lock()
+	defer c.copyMu.Unlock()
+	for _, p := range rest {
+		if copyData(p.block, p.src, p.dst) == nil && c.master.commitCopy(p.block, p.to, p.gen) {
+			copied++
+		}
+	}
+	return copied
+}
+
+// pendingCopy is a planned copy that runs outside the master lock.
+type pendingCopy struct {
+	block    BlockID
+	src, dst BlockStore
+	to       int    // the destination's worker index
+	gen      uint64 // the block's write generation at the plan
+}
+
+// replicateMeta plans a round under the master lock, makes and commits its
+// metadata-to-metadata copies, and returns how many it made along with the
+// copies left for the caller to make without the lock.
+func (c *Cluster) replicateMeta() (int, []pendingCopy) {
 	m := c.master
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	for _, w := range c.metas {
-		if w != nil {
+	for i := range c.stores {
+		if w := c.metaAt(i); w != nil {
 			w.mu.Lock()
 			w.reserve(len(m.blocks))
 		}
 	}
 	copied := 0
-	var rest []task // copies with a payload or remote store at either end
+	var rest []pendingCopy
 	m.plan(func(id BlockID, src int, stale, fresh uint64) {
 		from := c.metaAt(src)
 		var rec BlockMeta
@@ -150,12 +180,19 @@ func (c *Cluster) ReplicateOnce() int {
 		var done uint64
 		for dests := stale | fresh; dests != 0; dests &= dests - 1 {
 			d := bits.TrailingZeros64(dests)
-			to := c.metaAt(d)
-			if from == nil || to == nil {
-				rest = append(rest, task{block: id, src: src, dst: d})
-			} else if ok { // reserved above, and get vetted the record
-				to.install(id, rec)
-				done |= 1 << d
+			if to := c.metaAt(d); from != nil && to != nil {
+				if ok { // reserved above, and get vetted the record
+					to.install(id, rec)
+					done |= 1 << d
+				}
+				continue
+			}
+			s, err := c.storeAt(m.ids[src], src)
+			if err != nil {
+				continue
+			}
+			if t, err := c.storeAt(m.ids[d], d); err == nil {
+				rest = append(rest, pendingCopy{block: id, src: s, dst: t, to: d, gen: m.blocks[id].gen})
 			}
 		}
 		if done != 0 {
@@ -163,24 +200,12 @@ func (c *Cluster) ReplicateOnce() int {
 			copied += bits.OnesCount64(done)
 		}
 	})
-	for _, w := range c.metas {
-		if w != nil {
+	for i := range c.stores {
+		if w := c.metaAt(i); w != nil {
 			w.mu.Unlock()
 		}
 	}
-	for _, t := range rest {
-		src, err := c.storeAt(m.ids[t.src], t.src)
-		if err != nil {
-			continue
-		}
-		dst, err := c.storeAt(m.ids[t.dst], t.dst)
-		if err != nil || copyData(t.block, src, dst) != nil {
-			continue
-		}
-		m.commitReplicas(t.block, &m.blocks[t.block], 1<<t.dst)
-		copied++
-	}
-	return copied
+	return copied, rest
 }
 
 // copyBlock copies one block between workers and commits the new replica.
@@ -193,6 +218,8 @@ func (c *Cluster) copyBlock(id BlockID, from, to WorkerID) error {
 	if err != nil {
 		return err
 	}
+	c.copyMu.Lock()
+	defer c.copyMu.Unlock()
 	if err := copyData(id, src, dst); err != nil {
 		return err
 	}
@@ -315,11 +342,14 @@ func checkRange(fi *FileInfo, first, count int) error {
 // datacenter, from block index first and wrapping past the file's last
 // block, through the write-invalidate protocol without the caller
 // materializing payload bytes: metadata-plane stores record version bumps,
-// payload stores receive the client's reusable zero buffer.  The local
-// store dirties the range under one lock (metadata plane) and the master
-// commits it under one lock.  fi must come from Create or Stat; every write
-// covers a whole block, so no remote fetch is ever needed.  This is the
-// emulation's dirty-write hot path: one call per VM disk per hour.
+// payload stores receive the client's reusable zero buffer.  The master
+// commits the range under one lock.  A metadata-plane store records it
+// under one lock of its own, taken inside the master's (the order
+// ReplicateOnce takes them in), so no replication round can copy an older
+// record over the range before the commit.  fi must come from Create or
+// Stat; every write covers a whole block, so no remote fetch is ever
+// needed.  This is the emulation's dirty-write hot path: one call per VM
+// disk per hour.
 func (cl *Client) DirtyRange(fi *FileInfo, first, count int) error {
 	if err := checkRange(fi, first, count); err != nil {
 		return err
@@ -328,18 +358,21 @@ func (cl *Client) DirtyRange(fi *FileInfo, first, count int) error {
 	if err != nil {
 		return err
 	}
-	if bd, ok := store.(blockDirtier); ok {
-		if err := bd.DirtyRange(fi, first, count); err != nil {
-			return err
-		}
-	} else {
+	m := cl.cluster.master
+	bd, ok := store.(blockDirtier)
+	if !ok {
 		for k, i := 0, first; k < count; k, i = k+1, nextIndex(i, len(fi.Blocks)) {
 			if err := store.WriteBlock(fi.Blocks[i], cl.zeroBuf(fi.BlockSizeAt(i))); err != nil {
 				return err
 			}
 		}
 	}
-	return cl.cluster.master.commitWrites(fi, first, count, cl.idx)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if ok {
+		bd.dirtyRange(fi, first, count)
+	}
+	return m.commitWrites(fi, first, count, cl.idx)
 }
 
 // DirtyBlock is DirtyRange for the single block at index.

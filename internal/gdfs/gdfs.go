@@ -73,9 +73,10 @@ func (fi *FileInfo) BlockSizeAt(i int) int64 {
 	return fi.BlockSize
 }
 
-// maxWorkers is how many workers one master can register: a block's
-// replica sets are one-word bitmasks over worker indices.
-const maxWorkers = 64
+// MaxWorkers is how many workers one master can register: a block's
+// replica sets are one-word bitmasks over worker indices.  RegisterWorker
+// refuses the next one with ErrTooManyWorkers.
+const MaxWorkers = 64
 
 // Master holds the namespace and block metadata and plans re-replication.
 //
@@ -89,9 +90,13 @@ const maxWorkers = 64
 // no result depends on the order the workers registered in.
 //
 // One RWMutex guards it all.  A call takes it once, and the batch paths
-// take it once per batch, not per block: a client's dirty range commits
-// under one lock (Client.DirtyRange) and a replication round plans, copies
-// and commits under one (Cluster.ReplicateOnce).
+// take it once per batch, not per block: a client's dirty range on a
+// metadata-plane store is recorded and committed under one lock
+// (Client.DirtyRange), and a replication round plans, and copies and
+// commits its metadata-to-metadata copies, under one (Cluster.ReplicateOnce).
+// Copies that touch a payload or remote store run with the lock released;
+// each commits only if its block was not rewritten since the plan, which a
+// per-block write generation records.
 type Master struct {
 	mu    sync.RWMutex
 	files map[string]*FileInfo
@@ -121,12 +126,10 @@ type blockMeta struct {
 	size  int64
 	held  uint64 // workers holding a replica, valid or stale; 0 = deleted
 	valid uint64 // workers holding an up-to-date replica (within held)
-}
-
-// task is a ReplicationTask on worker indices.
-type task struct {
-	block    BlockID
-	src, dst int
+	// gen counts the writes committed to the block, so a copy made
+	// outside the master lock commits only if the block was not
+	// rewritten since the copy was planned.
+	gen uint64
 }
 
 // NewMaster returns a master with the given target replication factor
@@ -182,8 +185,8 @@ func (m *Master) register(id WorkerID, datacenter string) (int, error) {
 		m.datacenters[i] = datacenter
 		return i, nil
 	}
-	if len(m.ids) == maxWorkers {
-		return 0, fmt.Errorf("%w: %d workers", ErrTooManyWorkers, maxWorkers)
+	if len(m.ids) == MaxWorkers {
+		return 0, fmt.Errorf("%w: %d workers", ErrTooManyWorkers, MaxWorkers)
 	}
 	i := len(m.ids)
 	m.workers[id] = i
@@ -331,10 +334,8 @@ func (m *Master) CommitWrite(id BlockID, writer WorkerID) error {
 }
 
 // commitWrites is CommitWrite for count blocks of fi from block index
-// first, wrapping past the last block, under one lock.
+// first, wrapping past the last block (caller holds mu).
 func (m *Master) commitWrites(fi *FileInfo, first, count, writer int) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for k, i := 0, first; k < count; k, i = k+1, nextIndex(i, len(fi.Blocks)) {
 		if err := m.commitWrite(fi.Blocks[i], writer); err != nil {
 			return err
@@ -351,6 +352,7 @@ func (m *Master) commitWrite(id BlockID, w int) error {
 	}
 	b.held |= 1 << w
 	b.valid = 1 << w
+	b.gen++
 	m.updateUnder(id, b)
 	return nil
 }
@@ -378,6 +380,20 @@ func (m *Master) commitReplicas(id BlockID, b *blockMeta, workers uint64) {
 	b.held |= workers
 	b.valid |= workers
 	m.updateUnder(id, b)
+}
+
+// commitCopy marks worker index dst a valid holder of a block copied
+// outside the lock, unless the block was deleted or rewritten since the
+// copy was planned at write generation gen.
+func (m *Master) commitCopy(id BlockID, dst int, gen uint64) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	b, err := m.block(id)
+	if err != nil || b.gen != gen {
+		return false
+	}
+	m.commitReplicas(id, b, 1<<dst)
+	return true
 }
 
 // ReplicationTask asks a destination worker to copy a block from a source.

@@ -386,19 +386,19 @@ func TestUnderReplicatedPlanPrefersStaleHolders(t *testing.T) {
 // ErrTooManyWorkers, while re-registering a known worker still works.
 func TestMasterWorkerLimit(t *testing.T) {
 	m := NewMaster(2)
-	for i := 0; i < maxWorkers; i++ {
+	for i := 0; i < MaxWorkers; i++ {
 		if err := m.RegisterWorker(WorkerID(fmt.Sprintf("w%02d", i)), "dc"); err != nil {
 			t.Fatalf("worker %d: %v", i, err)
 		}
 	}
 	if err := m.RegisterWorker("one-too-many", "dc"); !errors.Is(err, ErrTooManyWorkers) {
-		t.Fatalf("worker %d: want ErrTooManyWorkers, got %v", maxWorkers+1, err)
+		t.Fatalf("worker %d: want ErrTooManyWorkers, got %v", MaxWorkers+1, err)
 	}
 	if err := m.RegisterWorker("w00", "elsewhere"); err != nil {
 		t.Fatalf("re-registering a known worker: %v", err)
 	}
-	if got := len(m.Workers()); got != maxWorkers {
-		t.Fatalf("Workers() has %d entries, want %d", got, maxWorkers)
+	if got := len(m.Workers()); got != MaxWorkers {
+		t.Fatalf("Workers() has %d entries, want %d", got, MaxWorkers)
 	}
 }
 
@@ -423,5 +423,102 @@ func TestUnderReplicatedSourceIsFirstValidByID(t *testing.T) {
 	want := []ReplicationTask{{Block: id, Source: "dc-2", Dest: "dc-0"}, {Block: id, Source: "dc-2", Dest: "dc-1"}}
 	if got := m.UnderReplicated(); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("UnderReplicated = %v, want %v", got, want)
+	}
+}
+
+// gatedStore is a payload worker whose WriteBlock waits at a gate, standing
+// in for a remote store that stops answering.
+type gatedStore struct {
+	*Worker
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (s *gatedStore) WriteBlock(id BlockID, data []byte) error {
+	select {
+	case s.entered <- struct{}{}:
+	default:
+	}
+	<-s.gate
+	return s.Worker.WriteBlock(id, data)
+}
+
+// TestReplicateOnceDoesNotHoldMasterDuringCopies pins that a copy to a store
+// that hangs stalls only the replication round: the master keeps answering
+// reads, writes and registrations, and the copy, overtaken by a write,
+// is not committed once the store answers.
+func TestReplicateOnceDoesNotHoldMasterDuringCopies(t *testing.T) {
+	master := NewMaster(2)
+	cluster := NewCluster(master)
+	gated := &gatedStore{Worker: NewWorker("dc-b"), entered: make(chan struct{}, 1), gate: make(chan struct{})}
+	if err := cluster.AddWorker(NewWorker("dc-a"), "dc-a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := cluster.AddWorker(gated, "dc-b"); err != nil {
+		t.Fatal(err)
+	}
+	client, err := cluster.NewClient("dc-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fi, err := client.Create("/f", DefaultBlockSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := fi.Blocks[0]
+
+	var released bool
+	release := func() {
+		if !released {
+			released = true
+			close(gated.gate)
+		}
+	}
+	defer release()
+	round := make(chan int)
+	go func() { round <- cluster.ReplicateOnce() }()
+	<-gated.entered // the round is inside the copy to dc-b
+
+	done := make(chan error)
+	go func() {
+		if _, err := master.Stat("/f"); err != nil {
+			done <- err
+			return
+		}
+		if _, err := master.StaleBytesOn("/f", "dc-b"); err != nil {
+			done <- err
+			return
+		}
+		if err := master.CommitWrite(id, "dc-a"); err != nil {
+			done <- err
+			return
+		}
+		done <- master.RegisterWorker("dc-c", "dc-c")
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("master calls blocked behind a replication round's copy")
+	}
+
+	release()
+	if copied := <-round; copied != 0 {
+		t.Fatalf("round committed %d copies of a block rewritten during the copy", copied)
+	}
+	loc, err := master.BlockLocations(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(loc.Valid) != "[dc-a]" {
+		t.Fatalf("valid replicas = %v, want [dc-a]", loc.Valid)
+	}
+	if copied := cluster.ReplicateOnce(); copied != 1 {
+		t.Fatalf("next round copied %d blocks, want 1", copied)
+	}
+	if loc, _ := master.BlockLocations(id); fmt.Sprint(loc.Valid) != "[dc-a dc-b]" {
+		t.Fatalf("valid replicas after the next round = %v, want [dc-a dc-b]", loc.Valid)
 	}
 }

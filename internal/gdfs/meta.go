@@ -33,7 +33,7 @@ type BlockMeta struct {
 //
 // The records live in a slice indexed by BlockID, which grows to the
 // largest ID stored: IDs must be the dense, sequential ones a Master
-// allocates.  DirtyRange dirties a whole range under one lock, and a
+// allocates.  A client's dirty range is recorded under one lock, and a
 // cluster's replication round locks each MetaWorker once for all its
 // copies (Cluster.ReplicateOnce).
 type MetaWorker struct {
@@ -146,25 +146,21 @@ func (w *MetaWorker) CreateBlock(id BlockID, size int64) error {
 	return w.set(id, BlockMeta{Version: old.Version + 1, Length: size, Digest: zeroDigest(size)})
 }
 
-// DirtyRange records whole-block overwrites of count blocks of fi, from
+// dirtyRange records whole-block overwrites of count blocks of fi, from
 // block index first and wrapping past the last block, without any payload:
 // per block a version bump plus a synthetic content digest, all under one
-// lock.
-func (w *MetaWorker) DirtyRange(fi *FileInfo, first, count int) error {
-	if err := checkRange(fi, first, count); err != nil {
-		return err
-	}
+// lock.  Client.DirtyRange has checked the range, and fi's block IDs come
+// from a master, so every record is valid.
+func (w *MetaWorker) dirtyRange(fi *FileInfo, first, count int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for k, i := 0, first; k < count; k, i = k+1, nextIndex(i, len(fi.Blocks)) {
 		id := fi.Blocks[i]
 		old, _ := w.get(id)
 		v := old.Version + 1
-		if err := w.set(id, BlockMeta{Version: v, Length: fi.BlockSizeAt(i), Digest: dirtyDigest(id, v)}); err != nil {
-			return err
-		}
+		w.reserve(int(id) + 1)
+		w.install(id, BlockMeta{Version: v, Length: fi.BlockSizeAt(i), Digest: dirtyDigest(id, v)})
 	}
-	return nil
 }
 
 // ReadBlock always fails: see ErrMetadataOnly.

@@ -576,3 +576,58 @@ func TestWorkerCreateBlockLazyZero(t *testing.T) {
 		t.Fatalf("borrowed %d bytes, want 100", borrowed)
 	}
 }
+
+// TestDirtyRangeRacingRoundKeepsWrite races a metadata-plane write on a
+// stale holder against a round that plans a copy onto that holder.  Either
+// order is fine, but the write must survive: the round may not install the
+// older record between the store's dirty and the master's commit, which
+// would leave the writer the only valid holder of the content it just
+// overwrote.
+func TestDirtyRangeRacingRoundKeepsWrite(t *testing.T) {
+	cluster := NewCluster(NewMaster(2))
+	a, b := NewMetaWorker("dc-a"), NewMetaWorker("dc-b")
+	for _, w := range []*MetaWorker{a, b} {
+		if err := cluster.AddWorker(w, string(w.ID())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ca, err := cluster.NewClient("dc-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, err := cluster.NewClient("dc-b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2000; i++ {
+		fi, err := ca.Create(fmt.Sprintf("/f%d", i), DefaultBlockSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cluster.ReplicateOnce()   // dc-b holds version 1
+		for k := 0; k < 10; k++ { // dc-a moves far ahead; dc-b is stale
+			if err := ca.DirtyRange(fi, 0, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		done := make(chan struct{})
+		go func() {
+			cluster.ReplicateOnce()
+			close(done)
+		}()
+		if err := cb.DirtyRange(fi, 0, 1); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+		id := fi.Blocks[0]
+		loc, err := cluster.Master().BlockLocations(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ra, _ := a.BlockMeta(id)
+		rb, _ := b.BlockMeta(id)
+		if len(loc.Stale) == 1 && loc.Stale[0] == "dc-a" && ra == rb {
+			t.Fatalf("file %d: dc-b is the valid holder but holds dc-a's older record %+v", i, rb)
+		}
+	}
+}

@@ -39,7 +39,7 @@ type (
 	// deliberately do not implement it, so the payload plane keeps storing
 	// real bytes.
 	blockDirtier interface {
-		DirtyRange(fi *FileInfo, first, count int) error
+		dirtyRange(fi *FileInfo, first, count int)
 	}
 	// metaSource / metaSink replicate a block as {version, length,
 	// digest} scalars, accounting the bytes arithmetically.

@@ -33,7 +33,8 @@ type TraceSpec struct {
 	// Seed seeds the catalog generator.
 	Seed int64 `json:"seed,omitempty"`
 	// Datacenters is how many sites to select (best solar capacity factor,
-	// spread across time zones so the sun is always up somewhere).
+	// spread across time zones so the sun is always up somewhere), at most
+	// emul.MaxDatacenters.
 	Datacenters int `json:"datacenters,omitempty"`
 	// VMs is the HPC fleet size.
 	VMs int `json:"vms,omitempty"`
@@ -103,6 +104,10 @@ func (ts TraceSpec) Digest() string {
 // of equal specs yield identical configs.
 func (ts TraceSpec) Build() (emul.Config, *location.Catalog, error) {
 	ts = ts.withDefaults()
+	if ts.Datacenters > emul.MaxDatacenters {
+		return emul.Config{}, nil, fmt.Errorf("plan: trace of %d datacenters: %w (at most %d)",
+			ts.Datacenters, emul.ErrTooManyDatacenters, emul.MaxDatacenters)
+	}
 	cat, err := location.Generate(location.Options{Count: ts.Sites, Seed: ts.Seed, RepresentativeDays: 1})
 	if err != nil {
 		return emul.Config{}, nil, err
