@@ -66,8 +66,8 @@ test-daemon:
 
 # The vendored-MPS interchange gate: cmd/lpsolve must reproduce the
 # committed reference objective of every instance under testdata/mps/ (see
-# testdata/mps/objectives.tsv), under both pricing rules, with presolve off,
-# and across a WriteMPS round trip.
+# testdata/mps/objectives.tsv), with presolve on and off, and across a
+# WriteMPS round trip.
 test-mps:
 	$(GO) test -run TestVendoredMPS -count=1 ./cmd/lpsolve/
 
@@ -117,7 +117,7 @@ cover:
 # catches a benchmark-only breakage (setup drift, catalog changes, a basis
 # that stops translating) in `make ci` instead of the full sweep.
 # BenchmarkCalibration is the machine-speed probe benchjson -calibrate
-# normalizes by, BenchmarkLPPricing keeps the pricing-rule A/B (and its
+# normalizes by, BenchmarkLPSolve keeps the cold partition-LP solve (and its
 # pivots/op metric) compiling and running, and BenchmarkLPPresolve keeps the
 # presolve on/off A/B (with its rows_removed/cols_removed metrics) alive —
 # each sub-benchmark at -benchtime=1x costs a few milliseconds.
@@ -127,7 +127,7 @@ cover:
 # tick falls back cold.  BenchmarkEmulScale runs the fleet-scale day (4
 # datacenters × 2000 VMs), where GDFS bookkeeping rather than the LP sets
 # the pace, so it prints next to EmulDay.
-BENCH_SMOKE := ^(BenchmarkCalibration|BenchmarkEvaluateSteadyState|BenchmarkEvaluateDeltaMove|BenchmarkLPResolve|BenchmarkLPBounded|BenchmarkLPPricing|BenchmarkLPPresolve|BenchmarkEmulDay|BenchmarkEmulScale|BenchmarkPlannerTick)$$
+BENCH_SMOKE := ^(BenchmarkCalibration|BenchmarkEvaluateSteadyState|BenchmarkEvaluateDeltaMove|BenchmarkLPResolve|BenchmarkLPBounded|BenchmarkLPSolve|BenchmarkLPPresolve|BenchmarkEmulDay|BenchmarkEmulScale|BenchmarkPlannerTick)$$
 
 bench-smoke:
 	$(GO) test -bench='$(BENCH_SMOKE)' -benchtime=1x -run '^$$' .

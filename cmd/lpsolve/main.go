@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	lpsolve [-presolve=off] [-pricing devex|dantzig|bland] [-write out.mps] [-v] model.mps
+//	lpsolve [-presolve=off] [-timeout 30s] [-write out.mps] [-v] model.mps
 //
 // With no file argument the model is read from standard input.
 package main
@@ -32,7 +32,6 @@ func main() {
 func run() error {
 	var (
 		presolve = flag.String("presolve", "on", "presolve mode: on or off")
-		pricing  = flag.String("pricing", "devex", "pricing rule: devex, dantzig or bland")
 		write    = flag.String("write", "", "re-emit the parsed model as MPS to this file ('-' for stdout) instead of solving")
 		timeout  = flag.Duration("timeout", 0, "solve deadline (e.g. 30s); 0 means none")
 		verbose  = flag.Bool("v", false, "print variable values and solve statistics")
@@ -78,16 +77,6 @@ func run() error {
 		opts.Presolve = lp.PresolveOff
 	default:
 		return fmt.Errorf("unknown -presolve %q", *presolve)
-	}
-	switch *pricing {
-	case "devex":
-		opts.Pricing = lp.PricingDevex
-	case "dantzig":
-		opts.Pricing = lp.PricingDantzig
-	case "bland":
-		opts.Pricing = lp.PricingBland
-	default:
-		return fmt.Errorf("unknown -pricing %q", *pricing)
 	}
 	if *timeout > 0 {
 		opts.Deadline = time.Now().Add(*timeout)

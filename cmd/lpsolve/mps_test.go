@@ -65,7 +65,7 @@ func solveFile(t *testing.T, bin string, args ...string) float64 {
 
 // TestVendoredMPS pins the solver against the vendored public-domain
 // instances: every committed reference objective must be reproduced through
-// the real binary (the `make test-mps` gate), under both pricing rules, and
+// the real binary (the `make test-mps` gate), with presolve on and off, and
 // must survive a WriteMPS round trip.  The set exercises G/L/E rows,
 // OBJSENSE MAX, BOUNDS, RANGES and Beale's degenerate cycling example.
 func TestVendoredMPS(t *testing.T) {
@@ -92,8 +92,7 @@ func TestVendoredMPS(t *testing.T) {
 					t.Errorf("%s: objective %.12g, want %.12g", label, got, want)
 				}
 			}
-			check("devex", solveFile(t, bin, path))
-			check("dantzig", solveFile(t, bin, "-pricing", "dantzig", path))
+			check("default", solveFile(t, bin, path))
 			check("presolve off", solveFile(t, bin, "-presolve=off", path))
 
 			// Normalization round trip: re-emit with -write, solve the copy.

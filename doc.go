@@ -37,10 +37,11 @@
 // Gilbert–Peierls sparse factorization with partial pivoting, updated by a
 // product-form eta file and refactorized every 64 pivots; FTRAN/BTRAN
 // triangular solves replace the dense tableau's whole-row elimination.
-// Pricing maintains the reduced-cost row incrementally (one sparse BTRAN
-// of the leaving unit vector plus one CSC pass per pivot), verifies every
-// nominee exactly from its FTRAN column, and only declares optimality
-// after an exact rebuild.
+// Pricing — devex reference weights, with Bland's rule only as the
+// anti-cycling latch — maintains the reduced-cost row incrementally (one
+// sparse BTRAN of the leaving unit vector plus one CSC pass per pivot),
+// verifies every nominee exactly from its FTRAN column, and only declares
+// optimality after an exact rebuild.
 //
 // Warm starts thread the basis up the stack: a Solution captures its
 // optimal basis in model-level terms (lp.Basis — per row, which
@@ -147,8 +148,7 @@
 // Location filtering shards the catalog across a GOMAXPROCS worker pool
 // (per-worker evaluators, slot-indexed scores, deterministic merge), and
 // sweep experiments warm-start each green-fraction point's search with the
-// previous point's siting (experiments.Config.DisableWarmStart turns that
-// off).
+// previous point's siting.
 //
 // # The emulation hot loop: metadata-plane GDFS and the reusable Runner
 //
@@ -310,11 +310,10 @@
 // a fixed-work machine-speed probe recorded in every snapshot: benchjson
 // -calibrate divides cross-snapshot ns/op deltas by the probe's ratio, so
 // diffs taken on a different machine compare code, not hardware.
-// BenchmarkLPPricing A/Bs the simplex pricing rules (devex, Dantzig,
-// Bland) on the scheduler-shaped partition LP and reports pivots/op next
-// to ns/op.  `make profile` writes CPU and heap profiles of
-// BenchmarkSchedulerComputeTime — the end-to-end optimization loop — into
-// the gitignored profile/ directory for `go tool pprof`.  The end-to-end
+// BenchmarkLPSolve reports pivots/op next to ns/op for cold solves of the
+// scheduler-shaped partition LP.  `make profile` writes CPU and heap
+// profiles of BenchmarkSchedulerComputeTime — the end-to-end optimization
+// loop — into the gitignored profile/ directory for `go tool pprof`.  The end-to-end
 // benchmark (serving, fleet-scale emulation, siting) and its per-layer
 // trace are described in perfbench/README.md; CHANGES.md records what each
 // change did and what it measured.

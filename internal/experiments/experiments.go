@@ -175,13 +175,6 @@ type Config struct {
 	Budget Budget
 	// Seed fixes the synthetic catalog.
 	Seed int64
-	// DisableWarmStart turns off warm-started sweeps.  By default each
-	// green-fraction sweep point seeds its annealing search with the
-	// previous point's solution (adjacent points have similar optimal
-	// sitings, so the warm start cuts sweep wall-clock); disabling it makes
-	// every point solve from the built-in initial sitings only.  Either way
-	// the sweep is deterministic for a fixed Seed.
-	DisableWarmStart bool
 	// Ctx, when non-nil, cancels long experiment runs cooperatively: All
 	// stops between experiments, and the sweeps stop between points and
 	// inside each point's annealing search.  Results computed before the
@@ -524,7 +517,7 @@ func (s *Suite) solveSweep(storage energy.StorageMode, sources core.SourceMix) (
 // once.  The mixes fan out across the worker pool; within one mix the
 // green-fraction points run in ascending order so each point's annealing can
 // warm-start from the previous point's siting (adjacent points have similar
-// optimal sitings — disable with Config.DisableWarmStart).  Each point
+// optimal sitings, so the warm start cuts sweep wall-clock).  Each point
 // writes only its own indexed slot, so the resulting series are
 // deterministic regardless of which worker finishes first.
 func (s *Suite) solveSweeps(storage energy.StorageMode, mixes []core.SourceMix) ([][]sweepPoint, error) {
@@ -583,9 +576,7 @@ func (s *Suite) solveSweeps(storage energy.StorageMode, mixes []core.SourceMix) 
 			spec.Sources = mixes[mixIdx]
 			opts := baseOpts
 			opts.Ctx = ctx
-			if !s.cfg.DisableWarmStart {
-				opts.InitialCandidates = warm
-			}
+			opts.InitialCandidates = warm
 			sol, err := core.Solve(s.catalog, spec, opts)
 			if err != nil {
 				// Some extreme points (100 % green, no storage, single

@@ -26,14 +26,13 @@ type Basis struct {
 	// Devex reference weights learned by the capturing solve, keyed like
 	// everything else by column identity so they survive re-standardization.
 	// Only weights above the unit reset value are stored (1 is what a fresh
-	// framework assigns anyway), and a warm start under a non-devex rule
-	// simply ignores them.
+	// framework assigns anyway).
 	devexCols []colIdent
 	devexW    []float64
 }
 
 // captureBasis records the current basis, nonbasic-at-upper statuses and
-// (under devex) learned reference weights of this standard form.  The
+// learned devex reference weights of this standard form.  The
 // weights arrive in sparse form — standard-form column indices paired with
 // their >1 values — so a warm solve that never materialized a dense weight
 // vector passes its carried entries through at O(entries), not O(columns).

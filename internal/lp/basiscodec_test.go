@@ -162,13 +162,15 @@ func FuzzDecodeBasis(f *testing.F) {
 	for _, shape := range []struct {
 		nDC, horizon int
 		phase        float64
-		rule         PricingRule
 	}{
-		{3, 12, 0, PricingDevex},
-		{3, 24, 1.3, PricingDevex},
-		{2, 6, 0.4, PricingDantzig},
+		{3, 12, 0},
+		{3, 24, 1.3},
+		{2, 6, 0.4},
 	} {
-		sol := solveWithRule(f, partitionShapedLP(f, shape.nDC, shape.horizon, shape.phase), shape.rule)
+		sol, err := partitionShapedLP(f, shape.nDC, shape.horizon, shape.phase).Solve()
+		if err != nil {
+			f.Fatal(err)
+		}
 		enc, err := sol.Basis().MarshalBinary()
 		if err != nil {
 			f.Fatal(err)

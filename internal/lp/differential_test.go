@@ -118,18 +118,20 @@ func checkModelFeasible(t *testing.T, trial int, p *Problem, sol *Solution) {
 	}
 }
 
-// TestRevisedMatchesDenseCore is the refactor's pin: the revised simplex
-// against the frozen pre-refactor dense-tableau core over 600 randomized
-// LPs — half of them bound-heavy, so the implicit-bound machinery is
-// differentially tested against the reference's explicit bound rows.
-// Statuses must be identical on every problem; optimal objectives must
-// agree to 1e-9 (relative), and the revised solution must satisfy the
-// model directly.
+// TestRevisedMatchesDenseCore is the solver's independent pin: the revised
+// simplex against the frozen pre-refactor dense-tableau core over 600
+// randomized LPs drawn from all three generator families — bound-heavy
+// ones, so the implicit-bound machinery is differentially tested against
+// the reference's explicit bound rows, and degenerate-heavy ones, so devex
+// pricing on tie-heavy, degenerate vertices is checked against the
+// reference's Dantzig pricing.  Statuses must be identical on every
+// problem; optimal objectives must agree to 1e-9 (relative), and the
+// revised solution must satisfy the model directly.
 func TestRevisedMatchesDenseCore(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	statuses := map[Status]int{}
 	for trial := 0; trial < 600; trial++ {
-		p := randomProblemShaped(rng, trial%2 == 1)
+		p := drawDifferentialProblem(rng, trial)
 
 		revised, errR := p.Solve()
 		dense, errD := denseSolve(p)
@@ -374,9 +376,9 @@ func TestSolveFromStaleBasisFallsBack(t *testing.T) {
 // coefficients and costs (many exact ties in pricing), duplicated and
 // scaled-duplicate rows (redundant constraints that put several basic
 // values at zero), and frequent zero right-hand sides.  This is the family
-// where pricing rules genuinely diverge — Dantzig stalls on ties that
-// devex's reference weights break, and Bland grinds through them by index —
-// so it is the family the cross-rule differential must lean on.
+// where pricing rules genuinely diverge — the dense reference's Dantzig
+// rule stalls on ties that devex's reference weights break — so it is the
+// family the dense-reference differential must lean on.
 func randomProblemDegenerate(rng *rand.Rand) *Problem {
 	sense := Minimize
 	if rng.Intn(2) == 0 {
@@ -436,7 +438,7 @@ func randomProblemDegenerate(rng *rand.Rand) *Problem {
 }
 
 // drawDifferentialProblem rotates through the three generator families so
-// the cross-rule suite covers the provisioning/partitioning mix, the
+// the differential suites cover the provisioning/partitioning mix, the
 // bound-heavy milp-relaxation shape, and the degenerate family.
 func drawDifferentialProblem(rng *rand.Rand, trial int) *Problem {
 	switch trial % 3 {
@@ -447,67 +449,6 @@ func drawDifferentialProblem(rng *rand.Rand, trial int) *Problem {
 	default:
 		return randomProblemDegenerate(rng)
 	}
-}
-
-// TestPricingRulesAgreeOnRandomLPs is the pricing tentpole's differential
-// pin: 600 randomized LPs — a third of them degenerate-heavy — solved under
-// devex, Dantzig and Bland must agree on Status everywhere and on the
-// optimal objective to 1e-9 (relative); each rule's claimed-optimal point
-// must satisfy the model directly (degenerate instances have alternative
-// optima, so values may differ — objectives may not).
-func TestPricingRulesAgreeOnRandomLPs(t *testing.T) {
-	rng := rand.New(rand.NewSource(271828))
-	rules := []struct {
-		name string
-		rule PricingRule
-	}{{"devex", PricingDevex}, {"dantzig", PricingDantzig}, {"bland", PricingBland}}
-	statuses := map[Status]int{}
-	pivots := make([]int, len(rules))
-	degPivots := make([]int, len(rules))
-	for trial := 0; trial < 600; trial++ {
-		p := drawDifferentialProblem(rng, trial)
-		sols := make([]*Solution, len(rules))
-		for k, r := range rules {
-			sol, err := p.SolveWithOptions(SolveOptions{Pricing: r.rule})
-			if err != nil && !errors.Is(err, ErrInfeasible) && !errors.Is(err, ErrUnbounded) {
-				t.Fatalf("trial %d: %s: %v", trial, r.name, err)
-			}
-			if sol == nil {
-				t.Fatalf("trial %d: %s: nil solution", trial, r.name)
-			}
-			sols[k] = sol
-			pivots[k] += sol.Stats.Pivots
-			if trial%3 == 2 {
-				degPivots[k] += sol.Stats.Pivots
-			}
-		}
-		ref := sols[0]
-		statuses[ref.Status]++
-		for k, r := range rules[1:] {
-			if sols[k+1].Status != ref.Status {
-				t.Fatalf("trial %d: %s status %v, devex status %v",
-					trial, r.name, sols[k+1].Status, ref.Status)
-			}
-		}
-		if ref.Status != Optimal {
-			continue
-		}
-		for k, r := range rules {
-			tol := 1e-9 * math.Max(1, math.Abs(ref.Objective))
-			if math.Abs(sols[k].Objective-ref.Objective) > tol {
-				t.Fatalf("trial %d: %s objective %v, devex %v (tol %v)",
-					trial, r.name, sols[k].Objective, ref.Objective, tol)
-			}
-			checkModelFeasible(t, trial, p, sols[k])
-		}
-	}
-	for _, st := range []Status{Optimal, Infeasible, Unbounded} {
-		if statuses[st] == 0 {
-			t.Fatalf("generator produced no %v problems (distribution %v)", st, statuses)
-		}
-	}
-	t.Logf("pivots devex=%d dantzig=%d bland=%d (degenerate family: devex=%d dantzig=%d bland=%d)",
-		pivots[0], pivots[1], pivots[2], degPivots[0], degPivots[1], degPivots[2])
 }
 
 // TestDevexSolveTwiceBitIdentical pins determinism: the devex framework

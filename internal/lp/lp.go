@@ -38,46 +38,41 @@
 // ratio test — so pricing drift can cost a re-pick, never a junk pivot,
 // and optimality is only declared after an exact rebuild.  Which column
 // that row nominates is the pricing rule (pricing.go): devex reference
-// weights over a rotating candidate list by default, with Dantzig's full
-// scan and Bland's least-index rule selectable via SolveOptions.Pricing.
+// weights, over a rotating candidate list on wide models.
 //
 // # Pricing
 //
 // The pricing rule decides which nonbasic column enters the basis each
-// pivot; it is the lever with the biggest effect on iteration counts.
-// Three rules are implemented behind one interface (pricing.go), selected
-// by SolveOptions.Pricing:
+// pivot; it is the lever with the biggest effect on iteration counts.  The
+// solver has one rule, devex (pricing.go), and one anti-cycling fallback:
 //
-//   - PricingDevex (the default, zero value) scores each candidate by
-//     viol²/w_j, where w_j is a devex reference weight approximating
-//     ‖B⁻¹·A_j‖² — the steepest-edge criterion without its per-column
-//     FTRANs.  Weights start at 1 over a reference framework, are updated
-//     in O(nnz) per pivot from the same BTRAN row that maintains the
-//     reduced costs, and the framework resets when the weight spread
-//     drifts past a ratio bound.  On models past a few thousand columns
-//     the full scan gives way to candidate-list partial pricing: a short
-//     list of the best scorers from a rotating section of the columns,
-//     re-verified exactly and refilled as it goes stale, with a full pass
-//     (never the list alone) required to declare optimality.  The same
-//     weights price the leaving row in the dual simplex, and both primal
-//     and dual weights are captured into Basis so warm restarts
-//     (SolveFrom) resume with the framework instead of re-learning it.
-//   - PricingDantzig is the classic most-negative-reduced-cost full scan:
-//     cheapest per pivot, but blind to column geometry, so it tends to
-//     take more pivots on degenerate models.
-//   - PricingBland is the least-index anti-cycling rule; it terminates
-//     finitely on any model and is what the stall ladder switches to
-//     mid-solve (Stats.BlandSwitches) when progress latches.  Once the
-//     stall releases, the solver switches back and re-seeds a fresh devex
-//     framework (Stats.DevexResets).
+//   - Devex scores each candidate by viol²/w_j, where w_j is a devex
+//     reference weight approximating ‖B⁻¹·A_j‖² — the steepest-edge
+//     criterion without its per-column FTRANs.  Weights start at 1 over a
+//     reference framework, are updated in O(nnz) per pivot from the same
+//     BTRAN row that maintains the reduced costs, and the framework resets
+//     when the weight spread drifts past a ratio bound.  On models past a
+//     few thousand columns the full scan gives way to candidate-list
+//     partial pricing: a short list of the best scorers from a rotating
+//     section of the columns, re-verified exactly and refilled as it goes
+//     stale, with a full pass (never the list alone) required to declare
+//     optimality.  The same weights price the leaving row in the dual
+//     simplex, and both primal and dual weights are captured into Basis so
+//     warm restarts (SolveFrom) resume with the framework instead of
+//     re-learning it.  On the scheduler's long, thin, near-degenerate
+//     partition LPs devex takes markedly fewer pivots than Dantzig's
+//     most-violating rule.
+//   - Bland's least-index rule, with the exact smallest-index ratio test
+//     its termination guarantee needs, takes over when the degenerate-stall
+//     detector fires or the iteration backstop passes (Stats.BlandSwitches).
+//     The first strictly improving pivot releases the stall latch, and
+//     devex restarts on a fresh framework (Stats.DevexResets).
 //
-// All three rules share the exact-FTRAN re-verification above, so they
-// differ in pivot counts and wall-clock, never in the optimum; the
-// differential suite solves every random model under all three and
-// requires identical statuses and objectives.  Stats reports the pricing
-// work per solve (PartialPasses, CandidateRebuilds, DevexResets), and
-// BenchmarkLPPricing in the repo root A/Bs the rules on the
-// scheduler-shaped partition LP with a pivots/op metric.
+// Pricing changes pivot sequences, never statuses or objectives: the
+// differential suites check every solve against a frozen dense-tableau
+// reference.  Stats reports the pricing work per solve (PartialPasses,
+// CandidateRebuilds, DevexResets), and BenchmarkLPSolve in the repo root
+// reports pivots/op next to ns/op on the scheduler-shaped partition LP.
 //
 // # Warm starts
 //
@@ -394,17 +389,17 @@ type Stats struct {
 	// answered with a refactorization instead of a poisoned pivot.
 	NaNGuards int
 	// PartialPasses counts candidate-list section scans by the partial
-	// pricing loop (devex only): how many rotating sections were examined
-	// to keep the candidate list fed.
+	// pricing loop: how many rotating sections were examined to keep the
+	// candidate list fed.
 	PartialPasses int
-	// CandidateRebuilds counts candidate-list refills (devex only): the
-	// list ran dry and a rotating scan rebuilt it.
+	// CandidateRebuilds counts candidate-list refills: the list ran dry and
+	// a rotating scan rebuilt it.
 	CandidateRebuilds int
 	// DevexResets counts devex reference-framework resets after the
 	// framework had learned from at least one pivot: weight drift past the
-	// ratio bound, a refactorization or basis repair discarding the eta
-	// file the weights were learned through, or the Bland stall latch
-	// releasing pricing back to devex.
+	// ratio bound, a basis repair or NaN recovery invalidating what the
+	// weights were learned through, or the Bland stall latch releasing
+	// pricing back to devex.
 	DevexResets int
 	// RowsRemoved / ColsRemoved count the model constraints and variables
 	// the presolve pass eliminated ahead of standardization (both zero when
@@ -448,9 +443,6 @@ type SolveOptions struct {
 	// Ctx, when non-nil, is polled between pivots; cancellation stops the
 	// solve with ErrCancelled.
 	Ctx context.Context
-	// Pricing selects the simplex pricing rule.  The zero value is
-	// PricingDevex; see the PricingRule constants in pricing.go.
-	Pricing PricingRule
 	// Presolve toggles the model reduction pass that runs ahead of
 	// standardization (presolve.go).  The zero value PresolveAuto runs it;
 	// PresolveOff solves the model exactly as built.
@@ -463,13 +455,11 @@ type solveControl struct {
 	deadline time.Time
 	ctx      context.Context
 	maxIters int
-	pricing  PricingRule
 }
 
 // active reports whether any budget is set, so unbudgeted solves skip the
 // per-iteration checks entirely and stay bit-identical to the pre-options
-// solver.  The pricing rule is deliberately not a budget: it changes which
-// pivots are taken, never whether limits are polled.
+// solver.
 func (c *solveControl) active() bool {
 	return c != nil && (c.ctx != nil || !c.deadline.IsZero() || c.maxIters > 0)
 }
@@ -567,7 +557,7 @@ func (p *Problem) SolveFromWithOptions(warm *Basis, opts SolveOptions) (*Solutio
 	if err != nil {
 		return nil, err
 	}
-	ctl := &solveControl{deadline: opts.Deadline, ctx: opts.Ctx, maxIters: opts.MaxIters, pricing: opts.Pricing}
+	ctl := &solveControl{deadline: opts.Deadline, ctx: opts.Ctx, maxIters: opts.MaxIters}
 	status, values, basis := std.solve(warm, ctl, &stats)
 	switch status {
 	case Infeasible:

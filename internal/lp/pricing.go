@@ -1,54 +1,25 @@
 package lp
 
-// Pricing framework of the revised simplex: which nonbasic column enters on
-// a primal iteration, and — under devex — which basic row leaves on a dual
-// iteration.  The rules plug into the solver behind the pricer interface;
-// every implementation may use stale or approximate information freely,
-// because the primal loop re-verifies each nominee's reduced cost exactly
-// from its FTRAN column before pivoting and only declares optimality after
-// an exact reduced-cost rebuild followed by a full-scan re-pick.  A pricing
-// rule can therefore change pivot sequences (and, on degenerate problems,
-// which alternative optimum is returned), never statuses or objectives.
-
-// PricingRule selects the simplex pricing strategy, via SolveOptions.Pricing.
-type PricingRule int
-
-const (
-	// PricingDevex — the default (zero value) — prices entering columns by
-	// reduced-cost violation squared over a devex reference weight: an
-	// approximation of the steepest-edge column norm, maintained per pivot
-	// from quantities the reduced-cost update pass already computes, and
-	// reset to fresh unit weights when the weights drift past the classic
-	// ratio bound (devexResetRatio) or whenever a refactorization or basis
-	// repair discards the eta file the weights were learned through.  The
-	// scan runs over a rotating candidate list (partial pricing); the dual
-	// simplex weighs its leaving-row choice with dual devex row weights.
-	// On long, thin, near-degenerate problems — the scheduler's partition
-	// LPs — devex takes markedly fewer pivots than Dantzig's rule.
-	PricingDevex PricingRule = iota
-	// PricingDantzig prices with Dantzig's classic most-violating
-	// reduced-cost rule over a full column scan — the pre-devex default,
-	// kept as the A/B baseline (BenchmarkLPPricing) and as a fallback.
-	PricingDantzig
-	// PricingBland prices with Bland's least-index rule (and the exact
-	// smallest-index ratio test) for the whole solve.  Bland guarantees
-	// termination but converges slowly; the other rules latch onto it
-	// automatically when the degenerate-stall detector fires, so selecting
-	// it outright is mostly a debugging aid.
-	PricingBland
-)
-
-// String returns the rule's short name.
-func (r PricingRule) String() string {
-	switch r {
-	case PricingDantzig:
-		return "dantzig"
-	case PricingBland:
-		return "bland"
-	default:
-		return "devex"
-	}
-}
+// Pricing of the revised simplex: which nonbasic column enters on a primal
+// iteration and which basic row leaves on a dual iteration.  The solver has
+// one rule, devex: entering columns are scored by reduced-cost violation
+// squared over a devex reference weight — an approximation of the
+// steepest-edge column norm, maintained per pivot from quantities the
+// reduced-cost update pass already computes, and reset to fresh unit
+// weights when the weights drift past the classic ratio bound
+// (devexResetRatio) or when a basis repair or NaN recovery invalidates what
+// they were learned through.  Wide problems scan a rotating candidate list
+// (partial pricing); the dual simplex weighs its leaving-row choice with
+// dual devex row weights.
+//
+// Devex is free to use stale or approximate information, because the
+// primal loop re-verifies each nominee's reduced cost exactly from its
+// FTRAN column before pivoting and only declares optimality after an exact
+// reduced-cost rebuild followed by a full-scan re-pick.  The one exception
+// to devex is the anti-cycling rung: a long run of degenerate pivots (or
+// the iteration backstop) latches Bland's least-index rule, with its exact
+// smallest-index ratio test, until the objective moves again; the release
+// restarts devex on a fresh reference framework.
 
 // Devex tuning.
 const (
@@ -75,57 +46,9 @@ const (
 	// between-refill staleness costs 5–35% extra pivots; from a few
 	// thousand columns up the list matches the full scan and keeps
 	// improving with width (10 DC × 96 h: 2543 pivots/263 ms listed vs
-	// 2494/270 ms full-scan vs 3207/360 ms Dantzig).
+	// 2494/270 ms full-scan).
 	partialMinCols = 4096
 )
-
-// pricer is the entering-column strategy of the primal simplex.
-//
-//   - price nominates an entering column from the maintained reduced-cost
-//     row (or -1 when it finds none; the caller rebuilds the row exactly
-//     and re-prices before trusting that as optimality);
-//   - update maintains the reduced-cost row and any rule state across the
-//     pivot that entered column q at basis position p with exact reduced
-//     cost dq and FTRAN column w (still untouched from the ratio test);
-//   - reset re-anchors rule state after events that invalidate it: a
-//     refactorization or repair (the weights were learned through the
-//     discarded eta file), or the Bland stall latch releasing.
-//
-// A rejected nominee (maintained row promoted it, the exact FTRAN check
-// refused it) needs no hook: the caller writes the exact value back into
-// the reduced row and re-prices, which naturally re-scores or drops it.
-type pricer interface {
-	price(s *solver) int
-	update(s *solver, q, p int, dq float64, w []float64)
-	reset(s *solver)
-}
-
-// dantzigPricer is the classic most-violating rule over a full scan, with
-// the plain incremental reduced-cost maintenance.
-type dantzigPricer struct{}
-
-func (dantzigPricer) price(s *solver) int { return s.pickEntering(false) }
-
-func (dantzigPricer) update(s *solver, q, p int, dq float64, w []float64) {
-	s.updateReducedAfterPivot(q, p, dq)
-}
-
-func (dantzigPricer) reset(*solver) {}
-
-// blandPricer is Bland's least-index rule behind the pricer interface.  The
-// solver engages Bland through the stall latch (solver.blandForced), which
-// additionally switches the ratio test to the exact smallest-index variant
-// Bland's termination guarantee needs, so this implementation only backs
-// the explicit PricingBland selection.
-type blandPricer struct{}
-
-func (blandPricer) price(s *solver) int { return s.pickEntering(true) }
-
-func (blandPricer) update(s *solver, q, p int, dq float64, w []float64) {
-	s.updateReducedAfterPivot(q, p, dq)
-}
-
-func (blandPricer) reset(*solver) {}
 
 // devexPricer carries the devex state: primal reference weights per
 // standard-form column, dual reference weights per basis row, and the
@@ -228,9 +151,9 @@ func (dx *devexPricer) materializeW(s *solver) []float64 {
 	return w
 }
 
-// reset implements pricer: a refactorization or repair discards the eta
-// file the weights were learned through, so the reference framework
-// restarts.  Only a framework that actually learned something counts as a
+// reset restarts the reference framework after a basis repair or a NaN
+// recovery: the weights were learned through a basis (or factors) that no
+// longer stand.  Only a framework that actually learned something counts as a
 // DevexReset.
 func (dx *devexPricer) reset(s *solver) { dx.resetFramework(s, dx.dirty) }
 

@@ -264,12 +264,11 @@ func TestFaultRecoveryMatchesCleanSolve(t *testing.T) {
 	}
 }
 
-// TestStallLatchReleasesBackToDevex drives the full stall round-trip under
-// the default devex rule: the forced stall latches Bland's rule (counted in
-// BlandSwitches), and the first strictly-improving pivot afterwards releases
-// the latch back to devex, restarting the reference framework — which is
-// observable as a DevexReset.  The same fault under Dantzig must latch
-// without touching any devex counter: the release path is rule-aware.
+// TestStallLatchReleasesBackToDevex drives the full stall round-trip: the
+// forced stall latches Bland's rule (counted in BlandSwitches), and the
+// first strictly-improving pivot afterwards releases the latch back to
+// devex, restarting the reference framework — which is observable as a
+// DevexReset.
 func TestStallLatchReleasesBackToDevex(t *testing.T) {
 	disarmAfter(t)
 
@@ -286,17 +285,5 @@ func TestStallLatchReleasesBackToDevex(t *testing.T) {
 	}
 	if sol.Stats.DevexResets == 0 {
 		t.Errorf("Stats.DevexResets = 0, want ≥ 1: releasing the stall latch must restart the devex framework; stats %+v", sol.Stats)
-	}
-
-	ArmFault(FaultForceStall, 1, 1)
-	dsol, err := transportLP(t).SolveWithOptions(SolveOptions{Pricing: PricingDantzig})
-	if err != nil {
-		t.Fatalf("dantzig solve with forced stall: %v", err)
-	}
-	if dsol.Stats.BlandSwitches != 1 {
-		t.Errorf("dantzig: Stats.BlandSwitches = %d, want 1; stats %+v", dsol.Stats.BlandSwitches, dsol.Stats)
-	}
-	if dsol.Stats.DevexResets != 0 {
-		t.Errorf("dantzig: Stats.DevexResets = %d, want 0: no devex framework exists to reset", dsol.Stats.DevexResets)
 	}
 }

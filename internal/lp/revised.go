@@ -25,9 +25,9 @@ const (
 	// warm-start safety net).
 	artValueTol = 1e-6
 	// stallAfter is the run of consecutive zero-step (degenerate) pivots
-	// after which pricing switches to Bland's rule for the rest of the solve
-	// — the anti-cycling rung of the recovery ladder, fired long before the
-	// blind iteration-count switch would kick in.
+	// after which pricing switches to Bland's rule until the objective
+	// moves again — the anti-cycling rung of the recovery ladder, fired long
+	// before the blind iteration-count switch would kick in.
 	stallAfter = 512
 	// maxBasisRepairs caps how many singular-basis repairs (ejecting the
 	// offending basic column to a slack) one refactorization may attempt.
@@ -127,12 +127,7 @@ type solver struct {
 	reduced []float64 // maintained reduced costs, len nTotal
 	stale   int       // pivots since the last exact rebuild
 
-	// Pricing (pricing.go).  pr is the selected rule; dvx aliases it when
-	// the rule is devex (nil otherwise), for the devex-only hooks: the dual
-	// simplex's weighted leaving-row scan and the warm-start weight carry.
-	pricing PricingRule
-	pr      pricer
-	dvx     *devexPricer
+	dvx *devexPricer // devex pricing state (pricing.go), never nil
 
 	sinceRefactor int
 
@@ -177,25 +172,7 @@ func newSolver(std *standard, ctl *solveControl, stats *Stats) *solver {
 	} else {
 		s.alpha = make([]float64, std.nTotal)
 	}
-	if ctl != nil {
-		s.pricing = ctl.pricing
-	}
-	switch s.pricing {
-	case PricingDantzig:
-		s.pr = dantzigPricer{}
-	case PricingBland:
-		// An explicit Bland selection rides the stall latch machinery for
-		// the whole solve: least-index pricing plus the exact
-		// smallest-index ratio test its termination guarantee needs.  The
-		// progress release is suppressed for this rule (see primal), and
-		// no BlandSwitch is counted — nothing switched.
-		s.pr = blandPricer{}
-		s.blandForced = true
-	default:
-		s.pricing = PricingDevex
-		s.dvx = newDevexPricer(std, std.nTotal > partialMinCols)
-		s.pr = s.dvx
-	}
+	s.dvx = newDevexPricer(std, std.nTotal > partialMinCols)
 	return s
 }
 
@@ -335,18 +312,17 @@ func (s *solver) rebuildReduced() {
 		s.reduced[j] = s.cost[j] - s.std.colDot(j, dual)
 	}
 	s.stale = 0
-	if s.dvx != nil {
-		s.dvx.cached = cachedNone // the row changed under the fused pick
-	}
+	s.dvx.cached = cachedNone // the row changed under the fused pick
 }
 
 // pickEntering nominates the entering column from the maintained
 // reduced-cost row.  Eligibility is signed by bound status: a column at its
 // lower bound improves by increasing (reduced cost < −ε), one at its upper
 // bound by decreasing (reduced cost > +ε); fixed columns (u = 0) cannot
-// move and are never priced.  Dantzig's most-violating rule by default, or
-// Bland's least-index rule once the iteration count suggests degenerate
-// stalling.
+// move and are never priced.  useBland selects Bland's least-index rule
+// (the stall latch and the iteration backstop); otherwise the scan takes the
+// most-violating column, which is the devex pick while every reference
+// weight is still 1 (see devexPricer.price).
 func (s *solver) pickEntering(useBland bool) int {
 	entering := -1
 	best := epsilon
@@ -418,25 +394,6 @@ func (s *solver) boundFlip(q int, w []float64) {
 	s.atUpper[q] = !s.atUpper[q]
 	s.stats.BoundFlips++
 	s.stallRun = 0 // a bound flip strictly improves the objective
-}
-
-// updateReducedAfterPivot maintains the reduced-cost row across the pivot
-// that entered q at position p with exact reduced cost dq: with ρ = row p of
-// the new basis inverse, d'_j = d_j − dq·(ρ·A_j).  One sparse BTRAN plus one
-// pass over the CSC nonzeros — the revised-simplex analogue of the dense
-// tableau's reduced-row elimination.  Bound statuses never enter: reduced
-// costs depend on the basis alone.
-func (s *solver) updateReducedAfterPivot(q int, p int, dq float64) {
-	rho := s.w // w's FTRAN contents are dead once the pivot is applied
-	s.btranUnit(p, rho)
-	alpha := s.alphaRow(rho)
-	for j := 0; j < s.std.nTotal; j++ {
-		if a := alpha[j]; a != 0 && !s.basic[j] {
-			s.reduced[j] -= dq * a
-		}
-	}
-	s.reduced[q] = 0
-	s.stale++
 }
 
 // alphaRow computes alpha = Aᵀρ over the priced columns into the solver's
@@ -514,7 +471,7 @@ func (s *solver) guardNaN() Status {
 	s.rebuildReduced()
 	// Whatever poisoned the FTRAN/BTRAN results may have poisoned the
 	// pricing weights learned through them; restart the framework.
-	s.pr.reset(s)
+	s.dvx.reset(s)
 	return 0
 }
 
@@ -528,13 +485,13 @@ func (s *solver) refactorizeRepair() (repaired bool, err error) {
 		err = s.refactorize()
 		if err == nil {
 			if repaired {
-				// The repair swapped basis columns under the pricing rule:
+				// The repair swapped basis columns under devex pricing:
 				// reference weights keyed to the old basis are meaningless,
 				// so the framework restarts.  A clean periodic
 				// refactorization keeps them — the weights approximate
 				// ‖B⁻¹·A_j‖², a property of the basis itself, not of the
 				// factorization that represents it.
-				s.pr.reset(s)
+				s.dvx.reset(s)
 			}
 			return repaired, nil
 		}
@@ -637,12 +594,12 @@ func (s *solver) primal() Status {
 			s.rebuildReduced()
 		}
 		// Pricing: Bland's least-index rule while the stall latch holds (or
-		// past the iteration backstop), the configured rule otherwise.
+		// past the iteration backstop), devex otherwise.
 		var q int
 		if useBland {
 			q = s.pickEntering(true)
 		} else {
-			q = s.pr.price(s)
+			q = s.dvx.price(s)
 		}
 		if q < 0 && s.stale > 0 {
 			// The maintained row says optimal; confirm exactly so drift can
@@ -651,7 +608,7 @@ func (s *solver) primal() Status {
 			if useBland {
 				q = s.pickEntering(true)
 			} else {
-				q = s.pr.price(s)
+				q = s.dvx.price(s)
 			}
 		}
 		if q < 0 {
@@ -815,18 +772,15 @@ func (s *solver) primal() Status {
 		if step <= epsilon {
 			s.stallRun++ // degenerate pivot: no objective progress
 		} else {
-			// Progress made: release the stall latch back to the configured
-			// rule (never when Bland IS the configured rule).  Bland is an
-			// anti-cycling device, not a pricing strategy — staying on it
-			// past the stall trades convergence speed for nothing.  Devex
+			// Progress made: release the stall latch back to devex.  Bland
+			// is an anti-cycling device, not a pricing strategy — staying on
+			// it past the stall trades convergence speed for nothing.  Devex
 			// restarts with a fresh reference framework, counted as a
 			// DevexReset unconditionally: the reset is the release signal.
 			s.stallRun = 0
-			if s.blandForced && s.pricing != PricingBland {
+			if s.blandForced {
 				s.blandForced = false
-				if s.dvx != nil {
-					s.dvx.resetFramework(s, true)
-				}
+				s.dvx.resetFramework(s, true)
 			}
 		}
 		if s.sinceRefactor >= refactorEvery {
@@ -842,7 +796,7 @@ func (s *solver) primal() Status {
 			}
 			s.rebuildReduced()
 		} else {
-			s.pr.update(s, q, leaving, dq, w)
+			s.dvx.update(s, q, leaving, dq, w)
 		}
 	}
 	return statusNumeric
@@ -878,47 +832,31 @@ func (s *solver) dual() Status {
 				return st
 			}
 		}
-		// Leaving: largest bound violation among the basic values — under
-		// devex weighted by the dual reference weights (violation squared
-		// over the approximate row norm of B⁻¹), the dual analogue of the
-		// primal devex score: a violation that is large only because its row
-		// of the inverse is long yields a short dual step, so normalizing by
-		// the row norm picks rows that actually move the dual objective.
+		// Leaving: largest bound violation among the basic values, weighted
+		// by the dual devex reference weights (violation squared over the
+		// approximate row norm of B⁻¹), the dual analogue of the primal
+		// devex score: a violation that is large only because its row of the
+		// inverse is long yields a short dual step, so normalizing by the row
+		// norm picks rows that actually move the dual objective.
 		p := -1
 		leaveAtUpper := false
-		if s.dvx != nil {
-			bestV2, bestW := 0.0, 1.0
-			for i, v := range s.xB {
-				viol := -v
-				atUp := false
-				if ub := s.std.upper[s.basis[i]]; !math.IsInf(ub, 1) && v-ub > viol {
-					viol = v - ub
-					atUp = true
-				}
-				if viol <= feasTol {
-					continue
-				}
-				// Divide-free argmax of viol²/rowW, cross-multiplied
-				// against the incumbent.
-				if v2 := viol * viol; v2*bestW > bestV2*s.dvx.rowW[i] {
-					bestV2, bestW = v2, s.dvx.rowW[i]
-					p = i
-					leaveAtUpper = atUp
-				}
+		bestV2, bestW := 0.0, 1.0
+		for i, v := range s.xB {
+			viol := -v
+			atUp := false
+			if ub := s.std.upper[s.basis[i]]; !math.IsInf(ub, 1) && v-ub > viol {
+				viol = v - ub
+				atUp = true
 			}
-		} else {
-			worst := feasTol
-			for i, v := range s.xB {
-				if -v > worst {
-					worst = -v
-					p = i
-					leaveAtUpper = false
-				}
-				if ub := s.std.upper[s.basis[i]]; !math.IsInf(ub, 1) && v-ub > worst {
-					worst = v - ub
-					p = i
-					leaveAtUpper = true
-				}
+			if viol <= feasTol {
+				continue
+			}
+			// Divide-free argmax of viol²/rowW, cross-multiplied against
+			// the incumbent.
+			if v2 := viol * viol; v2*bestW > bestV2*s.dvx.rowW[i] {
+				bestV2, bestW = v2, s.dvx.rowW[i]
+				p = i
+				leaveAtUpper = atUp
 			}
 		}
 		if p < 0 {
@@ -940,7 +878,7 @@ func (s *solver) dual() Status {
 			}
 			continue
 		}
-		if s.dvx != nil && s.dvx.dirty && s.dvx.dualDrifted(p, rho) {
+		if s.dvx.dirty && s.dvx.dualDrifted(p, rho) {
 			// ρ is the exact row norm the reference weight approximates;
 			// past the ratio bound the framework restarts at unit weights.
 			s.dvx.resetFramework(s, true)
@@ -1032,9 +970,7 @@ func (s *solver) dual() Status {
 		}
 
 		s.exchange(q, p, delta, w, leaveAtUpper)
-		if s.dvx != nil {
-			s.dvx.dualUpdate(s, p, w)
-		}
+		s.dvx.dualUpdate(s, p, w)
 		if s.sinceRefactor >= refactorEvery {
 			if repaired, err := s.refactorizeRepair(); err != nil || repaired {
 				return statusNumeric
@@ -1177,13 +1113,10 @@ func (s *standard) solve(warm *Basis, ctl *solveControl, stats *Stats) (Status, 
 }
 
 // devexWeights exposes the learned reference weights for basis capture in
-// sparse form (column indices and their >1 values), or nils under a
-// non-devex rule.  A solve that never materialized the dense vector passes
-// its carried warm-start entries through without an O(columns) scan.
+// sparse form (column indices and their >1 values; nils when every weight
+// is 1).  A solve that never materialized the dense vector passes its
+// carried warm-start entries through without an O(columns) scan.
 func (sv *solver) devexWeights() ([]int, []float64) {
-	if sv.dvx == nil {
-		return nil, nil
-	}
 	if sv.dvx.w == nil {
 		return sv.dvx.carriedIdx, sv.dvx.carriedW
 	}
@@ -1238,7 +1171,7 @@ func (sv *solver) solveWarm(basisArr []int, atUpper []bool, dvxCols []int, dvxW 
 	// factorization (a repair there would have reset the fresh framework
 	// anyway).  They stay sparse until a pivot materializes the dense
 	// vector, but count as learned state from here.
-	if sv.dvx != nil && len(dvxCols) > 0 {
+	if len(dvxCols) > 0 {
 		sv.dvx.carriedIdx, sv.dvx.carriedW = dvxCols, dvxW
 		sv.dvx.dirty = true
 	}

@@ -174,9 +174,6 @@ type Options struct {
 	// Ctx, when non-nil, cancels the search cooperatively between nodes and
 	// between simplex iterations inside a node.
 	Ctx context.Context
-	// Pricing selects the simplex pricing rule for every node relaxation
-	// (the zero value is lp.PricingDevex).
-	Pricing lp.PricingRule
 	// Presolve toggles LP presolve on the node relaxations.  The zero value
 	// runs it: the root node solves cold and gets the full reduction, while
 	// warm-started child nodes re-tighten from their branch bounds without
@@ -218,7 +215,7 @@ func (p *Problem) Solve() (*Solution, error) { return p.SolveWithOptions(Options
 // SolveWithOptions runs branch and bound.
 func (p *Problem) SolveWithOptions(opts Options) (*Solution, error) {
 	opts = opts.withDefaults()
-	lpOpts := lp.SolveOptions{Deadline: opts.Deadline, Ctx: opts.Ctx, Pricing: opts.Pricing, Presolve: opts.Presolve}
+	lpOpts := lp.SolveOptions{Deadline: opts.Deadline, Ctx: opts.Ctx, Presolve: opts.Presolve}
 
 	if len(p.integers) == 0 {
 		sol, err := p.solveRelaxation(nil, nil, lpOpts)

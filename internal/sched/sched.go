@@ -80,9 +80,6 @@ type Options struct {
 	// (Plan.Degraded) instead of blocking the scheduling round — an hourly
 	// re-planner must deliver a valid plan on time, not a perfect plan late.
 	LPTimeout time.Duration
-	// Pricing selects the simplex pricing rule for the partition LP (the
-	// zero value is lp.PricingDevex).
-	Pricing lp.PricingRule
 	// Presolve toggles LP presolve on the partition LP (the zero value runs
 	// it).  The first round's cold solve gets the full reduction; warm
 	// rounds re-tighten after the per-round RHS/cost rewrites without
@@ -235,7 +232,7 @@ func (s *Scheduler) Partition(dcs []DatacenterState, totalLoadKW float64) (*Plan
 		return nil, err
 	}
 
-	lpOpts := lp.SolveOptions{Pricing: s.opts.Pricing, Presolve: s.opts.Presolve}
+	lpOpts := lp.SolveOptions{Presolve: s.opts.Presolve}
 	if s.opts.LPTimeout > 0 {
 		lpOpts.Deadline = time.Now().Add(s.opts.LPTimeout)
 	}
