@@ -124,10 +124,13 @@ cover:
 # BenchmarkPlannerTick measures the continuous planner's steady-state warm
 # tick (streamed ingest + RHS rewrite + warm re-solve + publish) — the
 # latency a plannerd client sees on POST /tick — and fails if a measured
-# tick falls back cold.  BenchmarkEmulScale runs the fleet-scale day (4
-# datacenters × 2000 VMs), where GDFS bookkeeping rather than the LP sets
-# the pace, so it prints next to EmulDay.
-BENCH_SMOKE := ^(BenchmarkCalibration|BenchmarkEvaluateSteadyState|BenchmarkEvaluateDeltaMove|BenchmarkLPResolve|BenchmarkLPBounded|BenchmarkLPSolve|BenchmarkLPPresolve|BenchmarkEmulDay|BenchmarkEmulScale|BenchmarkPlannerTick)$$
+# tick falls back cold; BenchmarkPlannerTickSnapshot is the same tick with
+# snapshot persistence on, on a daemon aged 1000 ticks, so the snapshot
+# layer's per-tick cost (one appended journal record, amortized
+# checkpoints) shows next to it.  BenchmarkEmulScale runs the fleet-scale
+# day (4 datacenters × 2000 VMs), where GDFS bookkeeping rather than the LP
+# sets the pace, so it prints next to EmulDay.
+BENCH_SMOKE := ^(BenchmarkCalibration|BenchmarkEvaluateSteadyState|BenchmarkEvaluateDeltaMove|BenchmarkLPResolve|BenchmarkLPBounded|BenchmarkLPSolve|BenchmarkLPPresolve|BenchmarkEmulDay|BenchmarkEmulScale|BenchmarkPlannerTick|BenchmarkPlannerTickSnapshot)$$
 
 bench-smoke:
 	$(GO) test -bench='$(BENCH_SMOKE)' -benchtime=1x -run '^$$' .

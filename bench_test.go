@@ -3,6 +3,7 @@ package greencloud_test
 import (
 	"math"
 	"math/rand"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -311,12 +312,29 @@ func BenchmarkEmulDay(b *testing.B) {
 // client sees on POST /tick once the daemon is warm; the benchmark fails if
 // any measured tick falls back to a cold solve.
 func BenchmarkPlannerTick(b *testing.B) {
-	d, err := plan.New(plan.Config{Trace: plan.TraceSpec{}})
+	benchPlannerTick(b, plan.Config{Trace: plan.TraceSpec{}}, 2)
+}
+
+// BenchmarkPlannerTickSnapshot is BenchmarkPlannerTick with snapshots on,
+// so each tick also persists itself to the snapshot journal.  The daemon is
+// aged 1000 ticks first: a snapshot that rewrote the whole migration log
+// every tick would cost in proportion to that age, while the journal
+// appends one tick record and rewrites its checkpoint only after the
+// records have doubled the file.
+func BenchmarkPlannerTickSnapshot(b *testing.B) {
+	cfg := plan.Config{Trace: plan.TraceSpec{}, SnapshotPath: filepath.Join(b.TempDir(), "plan.snap")}
+	benchPlannerTick(b, cfg, 1000)
+}
+
+// benchPlannerTick times steady-state ticks of a daemon built from cfg
+// after warmup untimed ticks (at least past the first, cold-by-construction
+// solve).
+func benchPlannerTick(b *testing.B, cfg plan.Config, warmup int) {
+	d, err := plan.New(cfg)
 	if err != nil {
 		b.Fatalf("build daemon: %v", err)
 	}
-	// Warm up past the first (cold-by-construction) solve.
-	for i := 0; i < 2; i++ {
+	for i := 0; i < warmup; i++ {
 		if _, err := d.Tick(plan.TickRequest{}); err != nil {
 			b.Fatalf("warmup tick: %v", err)
 		}
@@ -331,6 +349,9 @@ func BenchmarkPlannerTick(b *testing.B) {
 		}
 		if view.CumLPStats.ColdFallbacks != base {
 			b.Fatal("steady-state tick fell back cold")
+		}
+		if view.SnapshotError != "" {
+			b.Fatalf("snapshot write failed: %s", view.SnapshotError)
 		}
 	}
 }

@@ -16,12 +16,15 @@
 //	POST /whatif  — price a hypothetical siting in an interactive session
 //	GET  /healthz — liveness
 //
-// With -snapshot, the daemon persists a checksummed snapshot after every
-// tick and, on startup, resumes from an existing one: the plan stream
+// With -snapshot, the daemon persists every tick to a checksummed snapshot
+// journal and, on startup, resumes from an existing one: the plan stream
 // continues bit-identically to an uninterrupted daemon and the first
-// post-restart solve starts warm from the persisted basis.  A corrupt or
-// foreign snapshot is logged and ignored.  SIGINT/SIGTERM shut down
-// cleanly: in-flight requests finish, new work is refused.
+// post-restart solve starts warm from the persisted basis.  The file is a
+// checkpoint of the whole state (GNPS1 frame, written by temp file +
+// rename) followed by one appended record per tick since (GNPR1 frames);
+// the checkpoint is rewritten once the records reach its size.  A corrupt,
+// truncated or foreign snapshot is logged and ignored.  SIGINT/SIGTERM shut
+// down cleanly: in-flight requests finish, new work is refused.
 package main
 
 import (

@@ -159,10 +159,45 @@ func stripRecords(recs []emul.HourRecord) []emul.HourRecord {
 	return out
 }
 
+// journalRecords reads the snapshot journal at path — a GNPS1 checkpoint
+// frame, then GNPR1 tick-record frames, each a "magic checksum length"
+// header line followed by length bytes of body — and returns the number of
+// tick records after the checkpoint.
+func journalRecords(path string) (int, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return 0, err
+	}
+	frames := 0
+	for ; len(raw) > 0; frames++ {
+		want := "GNPR1"
+		if frames == 0 {
+			want = "GNPS1"
+		}
+		var magic string
+		var sum uint64
+		var n int
+		nl := bytes.IndexByte(raw, '\n')
+		if nl < 0 {
+			return 0, fmt.Errorf("snapshot frame %d has no header line", frames)
+		}
+		if _, err := fmt.Sscanf(string(raw[:nl]), "%s %x %d", &magic, &sum, &n); err != nil || magic != want || n < 0 || n > len(raw)-nl-1 {
+			return 0, fmt.Errorf("snapshot frame %d: header %q, want a complete %s frame", frames, raw[:nl], want)
+		}
+		raw = raw[nl+1+n:]
+	}
+	if frames == 0 {
+		return 0, fmt.Errorf("snapshot is empty")
+	}
+	return frames - 1, nil
+}
+
 // TestDaemonSmoke is the CI daemon-smoke suite: 6 ticks over HTTP must be
 // bit-identical to a batch emul.Runner over the same trace; a SIGKILL halfway
 // must lose nothing — the restarted daemon resumes from its snapshot, warm,
-// and finishes the stream with the exact same answers.
+// and finishes the stream with the exact same answers.  The kill lands on a
+// journal with tick records appended after its checkpoint, so the resume
+// applies records, not just a checkpoint.
 func TestDaemonSmoke(t *testing.T) {
 	const hours, split = 6, 3
 
@@ -190,7 +225,8 @@ func TestDaemonSmoke(t *testing.T) {
 	bin := buildPlannerd(t)
 	snapshot := filepath.Join(t.TempDir(), "plan.snap")
 
-	// First incarnation: 3 ticks, then SIGKILL.
+	// First incarnation: 3 ticks (a checkpoint and two tick records on
+	// disk), then SIGKILL.
 	p1 := startDaemon(t, bin, snapshot, "plannerd-1.log")
 	var lastView plan.PlanView
 	for i := 0; i < split; i++ {
@@ -205,7 +241,14 @@ func TestDaemonSmoke(t *testing.T) {
 			t.Fatalf("tick %d: %d cold fallbacks", i, lastView.CumLPStats.ColdFallbacks)
 		}
 	}
+	records, err := journalRecords(snapshot)
 	p1.kill(t)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if records == 0 {
+		t.Fatalf("after %d ticks the snapshot is a lone checkpoint; pick a split that kills on appended tick records", split)
+	}
 
 	// Second incarnation: resumes from the snapshot the crash left behind.
 	p2 := startDaemon(t, bin, snapshot, "plannerd-2.log")

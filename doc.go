@@ -241,20 +241,37 @@
 // session table.  Shutdown is cooperative via context.Context: SIGTERM
 // stops new work, in-flight requests finish.
 //
-// Durability: after every tick the daemon atomically rewrites a versioned,
-// FNV-checksummed snapshot — the trace identity, the per-tick migration
-// schedule log, the streamed adjustments in effect, the current warm basis
-// (lp.Basis.MarshalBinary, itself a checksummed binary format) and the
-// serving view.  A restarted daemon replays the schedule log against a
-// fresh trace start (pure fleet/GDFS bookkeeping, no LP work — the same
-// event-sourcing trick the emulation determinism tests use), installs the
-// decoded basis and resumes: the continued tick stream is bit-identical to
-// a daemon that was never stopped and its first solve starts warm.  A
-// missing, truncated, corrupted or foreign-trace snapshot is rejected as a
-// unit and the daemon starts cold from the trace beginning — never
-// half-restored.  `make test-daemon` (CI's daemon-smoke job) pins all of
-// this through the real binary: HTTP ticks bit-identical to a batch
-// emul.Runner, SIGKILL mid-stream, warm resume from the snapshot.
+// Durability: the daemon persists every tick to a snapshot journal — a
+// checkpoint frame followed by one tick-record frame per tick since.  Each
+// frame is a header line (magic, FNV-1a checksum of the body, body length)
+// and a JSON body.  The checkpoint (GNPS1) holds the whole state: the trace
+// identity, the per-tick migration schedule log, the streamed adjustments
+// in effect, the current warm basis (lp.Basis.MarshalBinary, itself a
+// checksummed binary format) and the serving view; it is written atomically
+// (temp file + rename), and a checkpoint alone is byte-for-byte the
+// single-frame snapshot of earlier versions.  A tick record (GNPR1) holds
+// that tick's schedule and the adjustments, basis and view after it, and is
+// appended with one write — earlier ticks are never re-encoded.  Once the
+// records appended since the checkpoint reach the checkpoint's own size,
+// the next tick rewrites the checkpoint instead, which keeps the file under
+// about twice the checkpoint and each tick's write amortized O(1) in the
+// log length.  A failed append is cut back to the last frame boundary,
+// reported in the view's snapshot_error, and followed by a full checkpoint
+// on the next tick.  A write survives a process crash (SIGKILL); nothing
+// is fsynced.  A restarted daemon applies the records to the checkpoint in
+// order (the schedules concatenate; adjustments, basis and view come from
+// the last record), replays the schedule log against a fresh trace start
+// (pure fleet/GDFS bookkeeping, no LP work — the same event-sourcing trick
+// the emulation determinism tests use), installs the decoded basis and
+// resumes: the continued tick stream is bit-identical to a daemon that was
+// never stopped and its first solve starts warm from the persisted basis.
+// Every frame must be complete and checksum-valid and the file must end on
+// a frame boundary: a missing, truncated, corrupted or foreign-trace
+// snapshot is rejected as a unit and the daemon starts cold from the trace
+// beginning — never half-restored.  `make test-daemon` (CI's daemon-smoke
+// job) pins all of this through the real binary: HTTP ticks bit-identical
+// to a batch emul.Runner, SIGKILL mid-stream on a journal with appended
+// tick records, warm resume from the snapshot.
 //
 // # Failure semantics: budgets, recovery, degradation
 //

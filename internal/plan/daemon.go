@@ -18,8 +18,11 @@ type Config struct {
 	// Trace is the emulated trace the daemon plans against.
 	Trace TraceSpec
 	// SnapshotPath, when non-empty, is where the daemon persists a
-	// versioned snapshot after every tick (written atomically:
-	// temp + rename), and where New looks for one to resume from.
+	// versioned snapshot journal, and where New looks for one to resume
+	// from.  The file is a checkpoint of the whole state (written
+	// atomically: temp + rename) followed by one appended record per
+	// tick since; the checkpoint is rewritten once the records reach its
+	// size.  A resume applies the records to the checkpoint in order.
 	SnapshotPath string
 	// Ctx, when non-nil, is the daemon's base context: once cancelled the
 	// daemon refuses new ticks and what-if queries, the clean-shutdown
@@ -109,11 +112,16 @@ type Daemon struct {
 
 	// tickMu serializes the tick path (runner stepping + snapshot
 	// writes); mu guards the serving state swapped in at the end of each
-	// tick.  Lock order: tickMu before mu.
+	// tick.  Lock order: tickMu before mu.  view is only written under
+	// both, so the tick path (snapshot writes) reads it under tickMu alone.
 	tickMu  sync.Mutex
 	runner  *emul.Runner
 	moveLog [][]moveRec
 	scales  map[string]float64
+	// checkpointBytes is the size of the snapshot file's checkpoint frame
+	// (0: none valid, write one next tick) and appendedBytes the size of
+	// the tick records after it; see persist.
+	checkpointBytes, appendedBytes int64
 
 	mu   sync.RWMutex
 	view PlanView
@@ -250,7 +258,7 @@ func (d *Daemon) Tick(req TickRequest) (PlanView, error) {
 	d.mu.Unlock()
 
 	if d.cfg.SnapshotPath != "" {
-		if err := d.writeSnapshot(d.cfg.SnapshotPath); err != nil {
+		if err := d.persist(d.cfg.SnapshotPath); err != nil {
 			d.logf("plannerd: snapshot write failed: %v", err)
 			d.mu.Lock()
 			d.view.SnapshotError = err.Error()

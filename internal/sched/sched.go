@@ -281,8 +281,13 @@ func (s *Scheduler) Partition(dcs []DatacenterState, totalLoadKW float64) (*Plan
 // ~30% SchedulerComputeTime regression, so the row stayed.)
 func (s *Scheduler) buildPartitionLP(n, horizon int) error {
 	prob := lp.NewProblem(lp.Minimize)
+	// A basis from a problem of another shape is stale; one installed with
+	// SetWarmBasis before the first build (a resumed planner) is the
+	// intended warm start.
+	if s.lpProb != nil {
+		s.basis = nil
+	}
 	s.lpProb, s.lpN, s.lpHorizon = nil, 0, 0
-	s.basis = nil
 	s.loadV = makeVarGrid(n, horizon)
 	s.migV = makeVarGrid(n, horizon)
 	s.brownV = makeVarGrid(n, horizon)

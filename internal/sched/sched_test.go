@@ -126,6 +126,54 @@ func TestPartitionWarmResolveMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestSetWarmBasisBeforeFirstRound: a basis installed on a fresh scheduler
+// (a resumed planner restoring its snapshot) must warm-start the first
+// round rather than be dropped when that round builds the cached LP.  The
+// fresh scheduler then follows the exact simplex path of the scheduler the
+// basis came from: same pivots, bit-identical plan.
+func TestSetWarmBasisBeforeFirstRound(t *testing.T) {
+	opts := Options{HorizonHours: 24, MigrationFraction: 0.1}
+	round2 := threeDCs(24)
+	round2[0].CurrentLoadKW = 80
+	round2[1].CurrentLoadKW = 190
+	for d := range round2 {
+		for h := range round2[d].GreenForecastKW {
+			round2[d].GreenForecastKW[h] *= 0.9
+		}
+	}
+
+	orig := New(opts)
+	if _, err := orig.Partition(threeDCs(24), 270); err != nil {
+		t.Fatalf("round 1: %v", err)
+	}
+	basis := orig.WarmBasis()
+	want, err := orig.Partition(round2, 250)
+	if err != nil {
+		t.Fatalf("round 2: %v", err)
+	}
+
+	resumed := New(opts)
+	resumed.SetWarmBasis(basis)
+	got, err := resumed.Partition(round2, 250)
+	if err != nil {
+		t.Fatalf("resumed round 2: %v", err)
+	}
+	if got.LPStats.Pivots != want.LPStats.Pivots {
+		t.Fatalf("resumed round took %d pivots, the original %d: the installed basis was not used",
+			got.LPStats.Pivots, want.LPStats.Pivots)
+	}
+	if got.BrownKWh != want.BrownKWh || got.MigratedKW != want.MigratedKW {
+		t.Fatalf("resumed plan brown %v migrated %v, original %v %v", got.BrownKWh, got.MigratedKW, want.BrownKWh, want.MigratedKW)
+	}
+	for d := range want.LoadKW {
+		for h := range want.LoadKW[d] {
+			if got.LoadKW[d][h] != want.LoadKW[d][h] {
+				t.Fatalf("plan[%d][%d]: resumed %v, original %v", d, h, got.LoadKW[d][h], want.LoadKW[d][h])
+			}
+		}
+	}
+}
+
 func TestPartitionValidation(t *testing.T) {
 	s := New(Options{HorizonHours: 24})
 	if _, err := s.Partition(nil, 100); !errors.Is(err, ErrNoDatacenters) {
