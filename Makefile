@@ -15,8 +15,11 @@ SHELL := /bin/bash
 
 ci: vet build test test-mps test-faults bench-smoke
 
+# perfbench is its own module, so `go build ./...` never compiles it; vet
+# it here so an API change that breaks the benchmark fails `make ci`.
 vet:
 	$(GO) vet ./...
+	$(GO) -C perfbench vet .
 
 # Static analysis beyond go vet.  The hosted CI lint job installs the pinned
 # staticcheck and runs this target; locally the target degrades to a notice

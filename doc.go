@@ -157,12 +157,12 @@
 // migrates VMs over the emulated WAN and dirties each VM's disk blocks into
 // GDFS.  Two designs keep it at production scale:
 //
-//   - GDFS carries two interchangeable data planes.  The payload plane
-//     (gdfs.Worker) stores real block bytes — rpc/TCP serving runs on it,
-//     its buffers are pooled and created-but-unwritten blocks stay lazy
-//     zero pages.  The metadata plane (gdfs.MetaWorker) stores a replica as
-//     three scalars {version, length, digest}: writes bump versions,
-//     replication copies metadata, byte counters (BytesStored,
+//   - GDFS carries two interchangeable data planes, both in-process stores
+//     beside the master.  The payload plane (gdfs.Worker) stores real block
+//     bytes — its buffers are pooled and created-but-unwritten blocks stay
+//     lazy zero pages.  The metadata plane (gdfs.MetaWorker) stores a
+//     replica as three scalars {version, length, digest}: writes bump
+//     versions, replication copies metadata, byte counters (BytesStored,
 //     pending-migration bytes, staleness, re-replication plans) are
 //     arithmetic.  The contract is that every externally visible counter is
 //     byte-for-byte identical across planes — same digest if and only if
@@ -170,9 +170,10 @@
 //     pinned by a randomized differential test that drives both planes
 //     through identical op schedules (internal/gdfs/meta_test.go).  The one
 //     deliberate gap: MetaWorker.ReadBlock returns gdfs.ErrMetadataOnly, so
-//     a cluster must be plane-homogeneous.  The emulation runs the metadata
-//     plane by default (emul.Config.DataPlane), which removes gigabytes of
-//     live block slices from a large fleet's working set.
+//     a cluster must be plane-homogeneous.  The emulation always runs the
+//     metadata plane, which removes gigabytes of live block slices from a
+//     large fleet's working set; its tests run the payload plane too and
+//     require bit-identical results.
 //
 //     The master's bookkeeping sits on dense indices: each worker gets a
 //     small index at registration, a block's replica state is a pair of
@@ -180,21 +181,19 @@
 //     indexed by their sequentially allocated BlockID (deletes leave
 //     tombstones), and the under-replicated blocks are a bitset walked in
 //     ascending ID order; a MetaWorker keeps its records in a
-//     BlockID-indexed slice too.  Every lock stays — the background
-//     replicator, the migration shards' concurrent pending-bytes reads and
-//     the rpc stores need them — but each is taken once per batch, not
-//     once per block: Client.DirtyRange dirties a file's whole hourly range
-//     on a metadata-plane store under one master lock and, inside it, one
-//     store lock, and
-//     Cluster.ReplicateOnce plans a round and makes and commits its
-//     metadata-to-metadata copies under one master lock and one lock per
-//     metadata store, so no write lands between such a copy and its
-//     commit.  Copies to or from payload and remote stores run after the
-//     master lock is released, so a slow or hung store never blocks the
-//     master; each commits only if its block's write generation has not
-//     moved since the plan.  A master holds at most gdfs.MaxWorkers (64)
-//     workers, so an emulation or a plannerd trace takes at most 64
-//     datacenters.
+//     BlockID-indexed slice too.  Re-replication is a synchronous round the
+//     caller runs (gdfs.Cluster.ReplicateOnce, once per emulated hour).
+//     The locks are there for the migration shards, which read pending
+//     bytes concurrently, and each is taken once per batch, not once per
+//     block: Client.DirtyRange writes a file's whole hourly range to its
+//     store and commits it under one master lock (and, on a metadata-plane
+//     store, one store lock inside it), and ReplicateOnce plans a round and
+//     makes and commits every copy under one master lock and one lock per
+//     metadata store.  Every write and copy lands and commits under the
+//     same hold of the master lock, so no write is lost to a racing round;
+//     a store that blocks stalls the round and the master with it.  A
+//     master holds at most gdfs.MaxWorkers (64) workers, so an emulation or
+//     a plannerd trace takes at most 64 datacenters.
 //
 //   - emul.Runner owns every per-run and per-hour buffer: green/PUE traces
 //     and forecast windows live in series.Blocks, predictors fill

@@ -1,9 +1,11 @@
 // GDFS: using GreenNebula's distributed file system directly.
 //
-// This example builds a three-datacenter GDFS cluster, stores a VM disk
-// image, shows how writes invalidate remote replicas and how the background
-// re-replicator repairs them, and measures how much data a migration to each
-// datacenter would have to ship at any point in time.
+// This example builds a three-datacenter GDFS cluster in one process (one
+// in-memory payload store per datacenter), stores a VM disk image, shows
+// how writes invalidate remote replicas and how a re-replication round,
+// which the program runs itself with Cluster.ReplicateOnce, repairs them,
+// and measures how much data a migration to each datacenter would have to
+// ship at any point in time.
 package main
 
 import (
@@ -35,9 +37,10 @@ func main() {
 	}
 	fmt.Printf("created %s: %d MB in %d blocks\n", disk, fi.Size>>20, len(fi.Blocks))
 
-	// Replicate it so Mexico holds a warm copy.
+	// Replicate it so a second datacenter holds a warm copy: the round
+	// picks the first worker in WorkerID order that holds none, Guam.
 	copied := cluster.ReplicateOnce()
-	fmt.Printf("background replication copied %d blocks\n", copied)
+	fmt.Printf("a replication round copied %d blocks\n", copied)
 
 	// The VM dirties a couple of blocks while running in Kenya.
 	payload := bytes.Repeat([]byte{0xCA}, int(fi.BlockSize))
@@ -57,13 +60,13 @@ func main() {
 		fmt.Printf("pending migration bytes to %-7s %6.1f MB\n", dest, float64(pending)/(1<<20))
 	}
 
-	// Re-replication repairs the stale copies in the background.
+	// The next replication round repairs the stale copies.
 	cluster.ReplicateOnce()
-	pending, err := kenya.PendingMigrationBytes(disk, "mexico")
+	pending, err := kenya.PendingMigrationBytes(disk, "guam")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("after re-replication, pending bytes to mexico: %.1f MB\n", float64(pending)/(1<<20))
+	fmt.Printf("after re-replication, pending bytes to guam: %.1f MB\n", float64(pending)/(1<<20))
 
 	// A client in Mexico reads the freshest data regardless of where it was
 	// written.

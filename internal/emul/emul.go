@@ -84,12 +84,6 @@ type Config struct {
 	// Predictor selects the green-energy predictor ("perfect",
 	// "persistence" or "diurnal"; default "perfect", as in the paper).
 	Predictor string
-	// DataPlane selects the GDFS block-store backing the emulated disks:
-	// "" or "meta" is the metadata plane (a replica is {version, length,
-	// digest} scalars, no payload bytes ever materialize); "payload"
-	// stores real buffers, exercising the same store the rpc/TCP path
-	// uses.  Both planes produce bit-identical emulation results.
-	DataPlane string
 	// Parallelism caps the migration-execution pipeline's worker
 	// goroutines (0 = GOMAXPROCS, 1 = sequential).  Results are
 	// bit-identical at any setting: moves are sharded per destination and
@@ -100,6 +94,11 @@ type Config struct {
 	// to the static greedy split instead of blocking the hour.  A serving
 	// daemon sets this so a tick can never stall its control loop.
 	LPTimeout time.Duration
+
+	// payloadPlane backs the emulated disks with payload GDFS workers
+	// (real block bytes) instead of the metadata plane, so a test can
+	// check that both planes give bit-identical results.
+	payloadPlane bool
 }
 
 // HourRecord is one datacenter-hour of the emulation trace — the data behind
@@ -288,12 +287,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if cfg.Link.BandwidthMbps == 0 {
 		cfg.Link = wan.DefaultLink
 	}
-	switch cfg.DataPlane {
-	case "", "meta", "payload":
-	default:
-		return nil, fmt.Errorf("emul: unknown data plane %q", cfg.DataPlane)
-	}
-
 	n := len(cfg.Datacenters)
 	r := &Runner{cfg: cfg}
 	r.names = make([]string, n)
@@ -439,7 +432,7 @@ func (r *Runner) reset() error {
 		}
 		r.managers[i] = nebula.NewUniformDatacenter(dc.Name, hosts)
 		var store gdfs.BlockStore
-		if cfg.DataPlane == "payload" {
+		if cfg.payloadPlane {
 			store = gdfs.NewWorker(gdfs.WorkerID(dc.Name))
 		} else {
 			store = gdfs.NewMetaWorker(gdfs.WorkerID(dc.Name))
@@ -650,7 +643,8 @@ func (r *Runner) finishTick(absHour int, moves []sched.Migration, elapsed int64)
 		return nil, err
 	}
 
-	// Background GDFS re-replication catches the destinations up.
+	// One synchronous GDFS re-replication round catches the destinations
+	// up.
 	r.cluster.ReplicateOnce()
 
 	// Simulate the hour: VMs dirty disk blocks at their home site, each

@@ -40,12 +40,12 @@ func sameResult(t *testing.T, label string, a, b *Result) {
 // migrations, same migrated bytes, same energy, same trace.
 func TestDataPlaneEquivalence(t *testing.T) {
 	cfg := testConfig(t, 24)
-	cfg.DataPlane = "payload"
+	cfg.payloadPlane = true
 	payload, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("payload plane: %v", err)
 	}
-	cfg.DataPlane = "meta"
+	cfg.payloadPlane = false
 	meta, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("meta plane: %v", err)
@@ -95,12 +95,4 @@ func TestRunnerReuseAcrossRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameResult(t, "first vs second run", first, second)
-}
-
-func TestUnknownDataPlane(t *testing.T) {
-	cfg := testConfig(t, 2)
-	cfg.DataPlane = "quantum"
-	if _, err := Run(cfg); err == nil {
-		t.Error("unknown data plane should error")
-	}
 }

@@ -1,41 +1,26 @@
 package gdfs
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
 	"sync"
-	"time"
 )
 
-// Cluster bundles a master with the set of workers so clients and the
-// background re-replicator can reach every block store.  The stores may be
-// local (in-memory) or remote (rpc wrappers); the cluster does not care.
+// Cluster bundles a master with the block stores of its workers, all in
+// the caller's process, so clients and replication rounds can reach every
+// replica.  Re-replication is the caller's to run: ReplicateOnce is one
+// synchronous round.
 type Cluster struct {
 	master *Master
 
 	// stores is indexed by the master's worker index.
 	mu     sync.RWMutex
 	stores []BlockStore
-
-	// copyMu serializes the copies made outside the master lock
-	// (ReplicateOnce's payload and remote copies, fetches): two copies in
-	// opposite directions between payload workers would otherwise each
-	// hold one store's read lock while waiting for the other's write lock.
-	copyMu sync.Mutex
-
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
 }
 
 // NewCluster returns a cluster around the given master.
 func NewCluster(master *Master) *Cluster {
-	return &Cluster{
-		master: master,
-		stop:   make(chan struct{}),
-		done:   make(chan struct{}),
-	}
+	return &Cluster{master: master}
 }
 
 // Master exposes the cluster's master.
@@ -86,77 +71,17 @@ func (c *Cluster) metaAt(i int) *MetaWorker {
 	return nil
 }
 
-// StartReplicator launches the background re-replication loop, which
-// periodically asks the master for under-replicated blocks and copies them.
-// Stop it with StopReplicator.
-func (c *Cluster) StartReplicator(interval time.Duration) {
-	if interval <= 0 {
-		interval = 100 * time.Millisecond
-	}
-	go func() {
-		defer close(c.done)
-		ticker := time.NewTicker(interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ticker.C:
-				c.ReplicateOnce()
-			case <-c.stop:
-				return
-			}
-		}
-	}()
-}
-
-// StopReplicator stops the background loop and waits for it to exit.  It is
-// safe to call even if StartReplicator was never called.
-func (c *Cluster) StopReplicator() {
-	c.stopOnce.Do(func() { close(c.stop) })
-	select {
-	case <-c.done:
-	case <-time.After(2 * time.Second):
-	}
-}
-
 // ReplicateOnce performs one round of re-replication synchronously and
-// returns the number of blocks copied.
+// returns the number of replicas copied.
 //
-// The round plans under one master lock.  Copies between metadata-plane
-// workers move a BlockMeta record each and commit under that same lock,
-// with every such worker locked once for the whole round, so no write can
-// land between one of these copies and its commit.  Copies with a payload
-// or remote store at either end run after every lock is released, so a
-// slow store stalls the round but never the master; each commits only if
-// its block was not deleted or rewritten since the plan.  What these
-// copies do not exclude is a write into the destination replica itself
-// while the copy runs: the copy can overwrite it.
+// The round plans, copies and commits under one master lock, so no write
+// lands between a copy and its commit.  Every metadata-plane worker is
+// locked once for the whole round, and a copy between two of them moves
+// one BlockMeta record; a copy between payload workers lends the source's
+// bytes to the destination.  A cluster is plane-homogeneous: a round makes
+// no copy between a metadata-plane and a payload store.  A store that
+// blocks stalls the round, and the master with it.
 func (c *Cluster) ReplicateOnce() int {
-	copied, rest := c.replicateMeta()
-	if len(rest) == 0 {
-		return copied
-	}
-	c.copyMu.Lock()
-	defer c.copyMu.Unlock()
-	for _, p := range rest {
-		if copyData(p.block, p.src, p.dst) == nil && c.master.commitCopy(p.block, p.to, p.gen) {
-			copied++
-		}
-	}
-	return copied
-}
-
-// pendingCopy is a planned copy that runs outside the master lock.
-type pendingCopy struct {
-	block    BlockID
-	src, dst BlockStore
-	to       int    // the destination's worker index
-	gen      uint64 // the block's write generation at the plan
-}
-
-// replicateMeta plans a round under the master lock, makes and commits its
-// metadata-to-metadata copies, and returns how many it made along with the
-// copies left for the caller to make without the lock.
-func (c *Cluster) replicateMeta() (int, []pendingCopy) {
 	m := c.master
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -169,7 +94,6 @@ func (c *Cluster) replicateMeta() (int, []pendingCopy) {
 		}
 	}
 	copied := 0
-	var rest []pendingCopy
 	m.plan(func(id BlockID, src int, stale, fresh uint64) {
 		from := c.metaAt(src)
 		var rec BlockMeta
@@ -180,19 +104,15 @@ func (c *Cluster) replicateMeta() (int, []pendingCopy) {
 		var done uint64
 		for dests := stale | fresh; dests != 0; dests &= dests - 1 {
 			d := bits.TrailingZeros64(dests)
-			if to := c.metaAt(d); from != nil && to != nil {
-				if ok { // reserved above, and get vetted the record
+			to := c.metaAt(d)
+			switch {
+			case from != nil || to != nil: // locked above: copy the record in place
+				if ok && to != nil { // reserved above, and get vetted the record
 					to.install(id, rec)
 					done |= 1 << d
 				}
-				continue
-			}
-			s, err := c.storeAt(m.ids[src], src)
-			if err != nil {
-				continue
-			}
-			if t, err := c.storeAt(m.ids[d], d); err == nil {
-				rest = append(rest, pendingCopy{block: id, src: s, dst: t, to: d, gen: m.blocks[id].gen})
+			case c.copyAt(id, src, d) == nil:
+				done |= 1 << d
 			}
 		}
 		if done != 0 {
@@ -205,52 +125,45 @@ func (c *Cluster) replicateMeta() (int, []pendingCopy) {
 			w.mu.Unlock()
 		}
 	}
-	return copied, rest
+	return copied
 }
 
-// copyBlock copies one block between workers and commits the new replica.
-func (c *Cluster) copyBlock(id BlockID, from, to WorkerID) error {
-	src, err := c.store(from)
+// copyAt copies one block from the store at worker index src to the store
+// at dst (caller holds the master lock and mu).
+func (c *Cluster) copyAt(id BlockID, src, dst int) error {
+	ids := c.master.ids
+	from, err := c.storeAt(ids[src], src)
 	if err != nil {
 		return err
 	}
-	dst, err := c.store(to)
+	to, err := c.storeAt(ids[dst], dst)
 	if err != nil {
 		return err
 	}
-	c.copyMu.Lock()
-	defer c.copyMu.Unlock()
-	if err := copyData(id, src, dst); err != nil {
-		return err
-	}
-	return c.master.CommitReplica(id, to)
+	return copyData(id, from, to)
 }
 
-// copyData copies one block's replica from src to dst by the cheapest path
-// the two stores support: metadata-to-metadata replication moves a
-// BlockMeta record and no bytes; a borrowable source lends its buffer to
-// the destination's WriteBlock (one copy instead of two); otherwise it
-// falls back to ReadBlock+WriteBlock.
+// copyData copies one block's replica from src to dst: between
+// metadata-plane stores it moves the BlockMeta record and no bytes; a
+// payload source lends its buffer to the destination's WriteBlock.
 func copyData(id BlockID, src, dst BlockStore) error {
-	if msrc, ok := src.(metaSource); ok {
-		if msink, ok := dst.(metaSink); ok {
-			m, ok := msrc.BlockMeta(id)
-			if !ok {
-				return fmt.Errorf("%w: block %d on worker %s", ErrBlockNotFound, id, src.ID())
-			}
-			return msink.PutBlockMeta(id, m)
+	switch s := src.(type) {
+	case *MetaWorker:
+		d, ok := dst.(*MetaWorker)
+		if !ok {
+			return fmt.Errorf("%w (block %d on worker %s)", ErrMetadataOnly, id, s.id)
 		}
-	}
-	if bsrc, ok := src.(borrowReader); ok {
-		return bsrc.borrowBlock(id, func(data []byte) error {
+		m, ok := s.BlockMeta(id)
+		if !ok {
+			return fmt.Errorf("%w: block %d on worker %s", ErrBlockNotFound, id, s.id)
+		}
+		return d.PutBlockMeta(id, m)
+	case *Worker:
+		return s.borrowBlock(id, func(data []byte) error {
 			return dst.WriteBlock(id, data)
 		})
 	}
-	data, err := src.ReadBlock(id)
-	if err != nil {
-		return err
-	}
-	return dst.WriteBlock(id, data)
+	return fmt.Errorf("gdfs: worker %s cannot be a copy source", src.ID())
 }
 
 // Client is a GDFS client bound to one datacenter: writes go to the local
@@ -290,9 +203,8 @@ func (cl *Client) localStore() (BlockStore, error) {
 }
 
 // Create adds a file of the given size filled with zeroes, with its primary
-// replicas on the client's local worker.  Stores that support metadata
-// registration (all in-process stores) make this O(blocks), not O(bytes);
-// remote stores fall back to writing pooled zero buffers.
+// replicas on the client's local worker.  The store registers each block
+// without materializing its bytes, so this is O(blocks), not O(bytes).
 func (cl *Client) Create(path string, size int64) (*FileInfo, error) {
 	fi, err := cl.cluster.master.Create(path, size, cl.local)
 	if err != nil {
@@ -302,16 +214,8 @@ func (cl *Client) Create(path string, size int64) (*FileInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	if bc, ok := store.(blockCreator); ok {
-		for i, id := range fi.Blocks {
-			if err := bc.CreateBlock(id, fi.BlockSizeAt(i)); err != nil {
-				return nil, err
-			}
-		}
-		return fi, nil
-	}
 	for i, id := range fi.Blocks {
-		if err := store.WriteBlock(id, cl.zeroBuf(fi.BlockSizeAt(i))); err != nil {
+		if err := store.CreateBlock(id, fi.BlockSizeAt(i)); err != nil {
 			return nil, err
 		}
 	}
@@ -342,14 +246,14 @@ func checkRange(fi *FileInfo, first, count int) error {
 // datacenter, from block index first and wrapping past the file's last
 // block, through the write-invalidate protocol without the caller
 // materializing payload bytes: metadata-plane stores record version bumps,
-// payload stores receive the client's reusable zero buffer.  The master
-// commits the range under one lock.  A metadata-plane store records it
-// under one lock of its own, taken inside the master's (the order
-// ReplicateOnce takes them in), so no replication round can copy an older
-// record over the range before the commit.  fi must come from Create or
-// Stat; every write covers a whole block, so no remote fetch is ever
-// needed.  This is the emulation's dirty-write hot path: one call per VM
-// disk per hour.
+// payload stores receive the client's reusable zero buffer.  The range is
+// written to the store and committed under one master lock; a
+// metadata-plane store records it under one lock of its own, taken inside
+// the master's (the order ReplicateOnce takes them in), so no replication
+// round can copy an older replica over the range before the commit.  fi
+// must come from Create or Stat; every write covers a whole block, so no
+// remote fetch is ever needed.  This is the emulation's dirty-write hot
+// path: one call per VM disk per hour.
 func (cl *Client) DirtyRange(fi *FileInfo, first, count int) error {
 	if err := checkRange(fi, first, count); err != nil {
 		return err
@@ -359,18 +263,16 @@ func (cl *Client) DirtyRange(fi *FileInfo, first, count int) error {
 		return err
 	}
 	m := cl.cluster.master
-	bd, ok := store.(blockDirtier)
-	if !ok {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if w, ok := store.(*MetaWorker); ok {
+		w.dirtyRange(fi, first, count)
+	} else {
 		for k, i := 0, first; k < count; k, i = k+1, nextIndex(i, len(fi.Blocks)) {
 			if err := store.WriteBlock(fi.Blocks[i], cl.zeroBuf(fi.BlockSizeAt(i))); err != nil {
 				return err
 			}
 		}
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if ok {
-		bd.dirtyRange(fi, first, count)
 	}
 	return m.commitWrites(fi, first, count, cl.idx)
 }
@@ -384,49 +286,47 @@ func (cl *Client) DirtyBlock(fi *FileInfo, index int) error {
 // protocol: write locally, then invalidate remote replicas at the master.
 // If the local worker has no valid replica and the write does not cover the
 // whole block, the client first fetches a copy from another datacenter, as
-// described in the paper.
+// described in the paper.  The fetch, the merge, the local write and the
+// commit share one master lock, so no replication round can copy an older
+// replica over the write before it commits.
 func (cl *Client) WriteBlock(path string, index int, data []byte) error {
-	fi, err := cl.cluster.master.Stat(path)
+	store, err := cl.localStore()
 	if err != nil {
 		return err
+	}
+	m := cl.cluster.master
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	fi, ok := m.files[path]
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrFileNotFound, path)
 	}
 	if index < 0 || index >= len(fi.Blocks) {
 		return fmt.Errorf("gdfs: block index %d out of range for %s", index, path)
 	}
 	id := fi.Blocks[index]
-	store, err := cl.localStore()
+	b, err := m.block(id)
 	if err != nil {
 		return err
 	}
-
-	loc, err := cl.cluster.master.BlockLocations(id)
-	if err != nil {
-		return err
-	}
-	localValid := containsWorker(loc.Valid, cl.local)
-	partial := int64(len(data)) < loc.Size
-	if !localValid && partial {
-		if err := cl.fetchBlock(id, loc); err != nil {
-			return err
+	if int64(len(data)) < b.size {
+		// Merge a partial write over the current content.
+		if b.valid&(1<<cl.idx) == 0 {
+			if err := cl.fetchBlock(id, b); err != nil {
+				return err
+			}
 		}
-	}
-
-	// Merge a partial write over the existing local content.
-	var buf []byte
-	if partial && store.HasBlock(id) {
-		existing, err := store.ReadBlock(id)
+		buf, err := store.ReadBlock(id)
 		if err != nil {
 			return err
 		}
-		buf = existing
 		copy(buf, data)
-	} else {
-		buf = data
+		data = buf
 	}
-	if err := store.WriteBlock(id, buf); err != nil {
+	if err := store.WriteBlock(id, data); err != nil {
 		return err
 	}
-	return cl.cluster.master.CommitWrite(id, cl.local)
+	return m.commitWrite(id, cl.idx)
 }
 
 // ReadBlock reads one block of a file, preferring the local replica and
@@ -464,24 +364,24 @@ func (cl *Client) ReadBlock(path string, index int) ([]byte, error) {
 	return nil, fmt.Errorf("%w: block %d of %s", ErrNoValidReplica, id, path)
 }
 
-// fetchBlock pulls a valid replica of a block to the local worker and
-// registers it with the master.
-func (cl *Client) fetchBlock(id BlockID, loc *BlockInfo) error {
-	if len(loc.Valid) == 0 {
-		return fmt.Errorf("%w: block %d", ErrNoValidReplica, id)
-	}
-	var lastErr error
-	for _, w := range loc.Valid {
-		if err := cl.cluster.copyBlock(id, w, cl.local); err != nil {
-			lastErr = err
+// fetchBlock copies a valid replica of a block to the local worker, trying
+// the valid holders in WorkerID order, and commits it (caller holds the
+// master lock).
+func (cl *Client) fetchBlock(id BlockID, b *blockMeta) error {
+	c, m := cl.cluster, cl.cluster.master
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	err := fmt.Errorf("%w: block %d", ErrNoValidReplica, id)
+	for _, i := range m.order {
+		if b.valid&(1<<i) == 0 {
 			continue
 		}
-		return nil
+		if err = c.copyAt(id, i, cl.idx); err == nil {
+			m.commitReplicas(id, b, 1<<cl.idx)
+			return nil
+		}
 	}
-	if lastErr == nil {
-		lastErr = errors.New("gdfs: fetch failed")
-	}
-	return lastErr
+	return err
 }
 
 // PendingMigrationBytes returns how many bytes of the file would have to be

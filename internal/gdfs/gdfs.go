@@ -2,13 +2,18 @@
 // system (GDFS), described in Section V-A of the paper.
 //
 // The design follows HDFS — a single master holds the namespace and block
-// metadata, workers (one or more per datacenter) store replicas of data
-// blocks — but, unlike HDFS, files are mutable.  Writes go to the local
-// replica and invalidate the remote replicas by updating the metadata at the
-// master; invalidated blocks are re-replicated in the background.  This keeps
+// metadata, workers (one per datacenter) store replicas of data blocks —
+// but, unlike HDFS, files are mutable.  Writes go to the local replica and
+// invalidate the remote replicas by updating the metadata at the master;
+// invalidated blocks are re-replicated by rounds the caller runs
+// (Cluster.ReplicateOnce; the emulation runs one per hour).  This keeps
 // write latency low while still allowing a virtual machine to migrate
 // between datacenters: only the recently modified blocks that have not been
 // re-replicated yet need to move with it.
+//
+// Every datacenter's store lives in the caller's process: the master, the
+// block stores and the clients are plain objects in one address space, and
+// every copy between stores is made and committed under the master's lock.
 package gdfs
 
 import (
@@ -41,7 +46,6 @@ var (
 	ErrBlockNotFound  = errors.New("gdfs: block not found")
 	ErrWorkerNotFound = errors.New("gdfs: worker not registered")
 	ErrNoValidReplica = errors.New("gdfs: no valid replica available")
-	ErrClosed         = errors.New("gdfs: master is closed")
 	ErrTooManyWorkers = errors.New("gdfs: too many workers")
 )
 
@@ -90,13 +94,12 @@ const MaxWorkers = 64
 // no result depends on the order the workers registered in.
 //
 // One RWMutex guards it all.  A call takes it once, and the batch paths
-// take it once per batch, not per block: a client's dirty range on a
-// metadata-plane store is recorded and committed under one lock
-// (Client.DirtyRange), and a replication round plans, and copies and
-// commits its metadata-to-metadata copies, under one (Cluster.ReplicateOnce).
-// Copies that touch a payload or remote store run with the lock released;
-// each commits only if its block was not rewritten since the plan, which a
-// per-block write generation records.
+// take it once per batch, not per block: a client's dirty range is written
+// to its store and committed under one lock (Client.DirtyRange), and a
+// replication round plans, copies and commits under one
+// (Cluster.ReplicateOnce).  Every write and copy lands in its store and
+// commits under the same hold of the lock, so no round can copy an older
+// replica over a write before the write commits.
 type Master struct {
 	mu    sync.RWMutex
 	files map[string]*FileInfo
@@ -114,7 +117,6 @@ type Master struct {
 	order       []int
 	replication int
 	now         func() time.Time
-	closed      bool
 
 	// planScratch is UnderReplicated's result, reused across calls
 	// (guarded by mu).
@@ -126,10 +128,6 @@ type blockMeta struct {
 	size  int64
 	held  uint64 // workers holding a replica, valid or stale; 0 = deleted
 	valid uint64 // workers holding an up-to-date replica (within held)
-	// gen counts the writes committed to the block, so a copy made
-	// outside the master lock commits only if the block was not
-	// rewritten since the copy was planned.
-	gen uint64
 }
 
 // NewMaster returns a master with the given target replication factor
@@ -178,9 +176,6 @@ func (m *Master) RegisterWorker(id WorkerID, datacenter string) error {
 func (m *Master) register(id WorkerID, datacenter string) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed {
-		return 0, ErrClosed
-	}
 	if i, ok := m.workers[id]; ok {
 		m.datacenters[i] = datacenter
 		return i, nil
@@ -224,9 +219,6 @@ func (m *Master) Workers() []WorkerID {
 func (m *Master) Create(path string, size int64, primary WorkerID) (*FileInfo, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed {
-		return nil, ErrClosed
-	}
 	if _, ok := m.files[path]; ok {
 		return nil, fmt.Errorf("%w: %s", ErrFileExists, path)
 	}
@@ -317,23 +309,7 @@ func (m *Master) BlockLocations(id BlockID) (*BlockInfo, error) {
 	return info, nil
 }
 
-// CommitWrite records that a block was written on the given worker: that
-// replica becomes the only valid one and every other replica is invalidated
-// (the write-invalidate protocol of the paper).
-func (m *Master) CommitWrite(id BlockID, writer WorkerID) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, err := m.block(id); err != nil {
-		return err
-	}
-	w, ok := m.workers[writer]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrWorkerNotFound, writer)
-	}
-	return m.commitWrite(id, w)
-}
-
-// commitWrites is CommitWrite for count blocks of fi from block index
+// commitWrites is commitWrite for count blocks of fi from block index
 // first, wrapping past the last block (caller holds mu).
 func (m *Master) commitWrites(fi *FileInfo, first, count, writer int) error {
 	for k, i := 0, first; k < count; k, i = k+1, nextIndex(i, len(fi.Blocks)) {
@@ -344,7 +320,10 @@ func (m *Master) commitWrites(fi *FileInfo, first, count, writer int) error {
 	return nil
 }
 
-// commitWrite applies a write by worker index w (caller holds mu).
+// commitWrite records that a block was written on worker index w: that
+// replica becomes the only valid one and every other replica is
+// invalidated (the write-invalidate protocol of the paper).  The caller
+// holds mu, and made the write under the same hold.
 func (m *Master) commitWrite(id BlockID, w int) error {
 	b, err := m.block(id)
 	if err != nil {
@@ -352,7 +331,6 @@ func (m *Master) commitWrite(id BlockID, w int) error {
 	}
 	b.held |= 1 << w
 	b.valid = 1 << w
-	b.gen++
 	m.updateUnder(id, b)
 	return nil
 }
@@ -380,20 +358,6 @@ func (m *Master) commitReplicas(id BlockID, b *blockMeta, workers uint64) {
 	b.held |= workers
 	b.valid |= workers
 	m.updateUnder(id, b)
-}
-
-// commitCopy marks worker index dst a valid holder of a block copied
-// outside the lock, unless the block was deleted or rewritten since the
-// copy was planned at write generation gen.
-func (m *Master) commitCopy(id BlockID, dst int, gen uint64) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	b, err := m.block(id)
-	if err != nil || b.gen != gen {
-		return false
-	}
-	m.commitReplicas(id, b, 1<<dst)
-	return true
 }
 
 // ReplicationTask asks a destination worker to copy a block from a source.
@@ -542,13 +506,6 @@ func nextIndex(i, n int) int {
 		return 0
 	}
 	return i
-}
-
-// Close marks the master closed; subsequent mutations fail.
-func (m *Master) Close() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.closed = true
 }
 
 func cloneFileInfo(fi *FileInfo) *FileInfo {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"testing"
-	"time"
 )
 
 // newTestCluster builds a 3-datacenter in-memory cluster.
@@ -70,17 +69,6 @@ func TestMasterCreateStatDelete(t *testing.T) {
 	}
 }
 
-func TestMasterClosed(t *testing.T) {
-	m := NewMaster(0)
-	m.Close()
-	if err := m.RegisterWorker("w", "dc"); !errors.Is(err, ErrClosed) {
-		t.Errorf("want ErrClosed, got %v", err)
-	}
-	if _, err := m.Create("/f", 1, "w"); !errors.Is(err, ErrClosed) {
-		t.Errorf("want ErrClosed, got %v", err)
-	}
-}
-
 func TestWriteInvalidatesRemoteReplicas(t *testing.T) {
 	cluster, _ := newTestCluster(t)
 	clientA, err := cluster.NewClient("dc-a")
@@ -137,7 +125,7 @@ func TestWriteInvalidatesRemoteReplicas(t *testing.T) {
 		t.Error("remote read returned stale data")
 	}
 
-	// Background re-replication repairs the stale copy.
+	// A re-replication round repairs the stale copy.
 	if copied := cluster.ReplicateOnce(); copied == 0 {
 		t.Error("expected re-replication work after the write")
 	}
@@ -219,30 +207,6 @@ func TestStaleBlocksDriveMigrationCost(t *testing.T) {
 	}
 }
 
-func TestBackgroundReplicatorLoop(t *testing.T) {
-	cluster, _ := newTestCluster(t)
-	clientA, _ := cluster.NewClient("dc-a")
-	fi, err := clientA.Create("/vm/img", 4<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cluster.StartReplicator(5 * time.Millisecond)
-	defer cluster.StopReplicator()
-
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		loc, err := cluster.Master().BlockLocations(fi.Blocks[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(loc.Valid) >= 2 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Fatal("background replicator did not reach the target replication factor in time")
-}
-
 func TestWorkerStore(t *testing.T) {
 	w := NewWorker("w1")
 	if w.ID() != "w1" {
@@ -279,79 +243,6 @@ func TestWorkerStore(t *testing.T) {
 	}
 	if w.HasBlock(7) {
 		t.Error("block still present after delete")
-	}
-}
-
-func TestRPCWorkerOverTCP(t *testing.T) {
-	// A cluster where one of the workers is reached over a real TCP socket.
-	master := NewMaster(2)
-	cluster := NewCluster(master)
-	local := NewWorker("dc-local")
-	if err := cluster.AddWorker(local, "local"); err != nil {
-		t.Fatal(err)
-	}
-
-	backend := NewWorker("dc-remote")
-	server, err := ServeWorker(backend, "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("ServeWorker: %v", err)
-	}
-	defer server.Close()
-
-	remote, err := DialWorker(server.Addr())
-	if err != nil {
-		t.Fatalf("DialWorker: %v", err)
-	}
-	defer remote.Close()
-	if remote.ID() != "dc-remote" {
-		t.Fatalf("remote ID = %s", remote.ID())
-	}
-	if err := cluster.AddWorker(remote, "remote"); err != nil {
-		t.Fatal(err)
-	}
-
-	client, err := cluster.NewClient("dc-local")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fi, err := client.Create("/over/tcp", 4<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := bytes.Repeat([]byte{0x42}, int(fi.BlockSize))
-	if err := client.WriteBlock("/over/tcp", 0, payload); err != nil {
-		t.Fatal(err)
-	}
-	// Replication copies the block across the socket to the remote worker.
-	if copied := cluster.ReplicateOnce(); copied == 0 {
-		t.Fatal("expected replication to the remote worker")
-	}
-	if !remote.HasBlock(fi.Blocks[0]) {
-		t.Fatal("remote worker does not hold the replica")
-	}
-	if remote.BytesStored() != fi.BlockSize {
-		t.Errorf("remote BytesStored = %d, want %d", remote.BytesStored(), fi.BlockSize)
-	}
-	// Reading from the remote side through a client local to it works too.
-	remoteClient, err := cluster.NewClient("dc-remote")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := remoteClient.ReadBlock("/over/tcp", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, payload) {
-		t.Error("data read over TCP does not match")
-	}
-	if err := remote.DeleteBlock(fi.Blocks[0]); err != nil {
-		t.Errorf("DeleteBlock over RPC: %v", err)
-	}
-	if remote.HasBlock(fi.Blocks[0]) {
-		t.Error("block still present after remote delete")
-	}
-	if err := server.Close(); err != nil {
-		t.Errorf("second Close: %v", err)
 	}
 }
 
@@ -423,102 +314,5 @@ func TestUnderReplicatedSourceIsFirstValidByID(t *testing.T) {
 	want := []ReplicationTask{{Block: id, Source: "dc-2", Dest: "dc-0"}, {Block: id, Source: "dc-2", Dest: "dc-1"}}
 	if got := m.UnderReplicated(); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("UnderReplicated = %v, want %v", got, want)
-	}
-}
-
-// gatedStore is a payload worker whose WriteBlock waits at a gate, standing
-// in for a remote store that stops answering.
-type gatedStore struct {
-	*Worker
-	entered chan struct{}
-	gate    chan struct{}
-}
-
-func (s *gatedStore) WriteBlock(id BlockID, data []byte) error {
-	select {
-	case s.entered <- struct{}{}:
-	default:
-	}
-	<-s.gate
-	return s.Worker.WriteBlock(id, data)
-}
-
-// TestReplicateOnceDoesNotHoldMasterDuringCopies pins that a copy to a store
-// that hangs stalls only the replication round: the master keeps answering
-// reads, writes and registrations, and the copy, overtaken by a write,
-// is not committed once the store answers.
-func TestReplicateOnceDoesNotHoldMasterDuringCopies(t *testing.T) {
-	master := NewMaster(2)
-	cluster := NewCluster(master)
-	gated := &gatedStore{Worker: NewWorker("dc-b"), entered: make(chan struct{}, 1), gate: make(chan struct{})}
-	if err := cluster.AddWorker(NewWorker("dc-a"), "dc-a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := cluster.AddWorker(gated, "dc-b"); err != nil {
-		t.Fatal(err)
-	}
-	client, err := cluster.NewClient("dc-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fi, err := client.Create("/f", DefaultBlockSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := fi.Blocks[0]
-
-	var released bool
-	release := func() {
-		if !released {
-			released = true
-			close(gated.gate)
-		}
-	}
-	defer release()
-	round := make(chan int)
-	go func() { round <- cluster.ReplicateOnce() }()
-	<-gated.entered // the round is inside the copy to dc-b
-
-	done := make(chan error)
-	go func() {
-		if _, err := master.Stat("/f"); err != nil {
-			done <- err
-			return
-		}
-		if _, err := master.StaleBytesOn("/f", "dc-b"); err != nil {
-			done <- err
-			return
-		}
-		if err := master.CommitWrite(id, "dc-a"); err != nil {
-			done <- err
-			return
-		}
-		done <- master.RegisterWorker("dc-c", "dc-c")
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("master calls blocked behind a replication round's copy")
-	}
-
-	release()
-	if copied := <-round; copied != 0 {
-		t.Fatalf("round committed %d copies of a block rewritten during the copy", copied)
-	}
-	loc, err := master.BlockLocations(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(loc.Valid) != "[dc-a]" {
-		t.Fatalf("valid replicas = %v, want [dc-a]", loc.Valid)
-	}
-	if copied := cluster.ReplicateOnce(); copied != 1 {
-		t.Fatalf("next round copied %d blocks, want 1", copied)
-	}
-	if loc, _ := master.BlockLocations(id); fmt.Sprint(loc.Valid) != "[dc-a dc-b]" {
-		t.Fatalf("valid replicas after the next round = %v, want [dc-a dc-b]", loc.Valid)
 	}
 }

@@ -24,12 +24,12 @@ type BlockMeta struct {
 
 // MetaWorker is the metadata-plane BlockStore: a replica is a BlockMeta
 // record instead of a byte slice, and BytesStored is maintained
-// arithmetically.  It moves through the same master protocol (CommitWrite,
-// CommitReplica, UnderReplicated, StaleBlocksOn) as the payload Worker, so
-// every externally visible counter matches the payload plane byte for byte
-// — pinned by TestMetaPayloadEquivalence.  ReadBlock is the one deliberate
-// gap (ErrMetadataOnly): a metadata cluster must be homogeneous, since a
-// payload store cannot re-replicate from a metadata source.
+// arithmetically.  It moves through the same master protocol (writes,
+// replication rounds, UnderReplicated, StaleBlocksOn) as the payload
+// Worker, so every externally visible counter matches the payload plane
+// byte for byte — pinned by TestMetaPayloadEquivalence.  ReadBlock is the
+// one deliberate gap (ErrMetadataOnly): a cluster must be plane-homogeneous,
+// since no copy runs between a metadata and a payload store.
 //
 // The records live in a slice indexed by BlockID, which grows to the
 // largest ID stored: IDs must be the dense, sequential ones a Master
@@ -45,13 +45,7 @@ type MetaWorker struct {
 	bytes int64
 }
 
-var (
-	_ BlockStore   = (*MetaWorker)(nil)
-	_ blockCreator = (*MetaWorker)(nil)
-	_ blockDirtier = (*MetaWorker)(nil)
-	_ metaSource   = (*MetaWorker)(nil)
-	_ metaSink     = (*MetaWorker)(nil)
-)
+var _ BlockStore = (*MetaWorker)(nil)
 
 // NewMetaWorker returns an empty metadata-plane worker.
 func NewMetaWorker(id WorkerID) *MetaWorker {

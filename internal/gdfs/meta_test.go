@@ -1,13 +1,13 @@
 package gdfs
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
 	"testing"
-	"time"
 )
 
 // planePair is one cluster per data plane, driven through identical op
@@ -396,9 +396,10 @@ func testDenseSchedule(t *testing.T, replication int) {
 }
 
 // TestReplicateOnceConcurrent is the emulation's sharing pattern under
-// -race: replication rounds (explicit and from StartReplicator) run while
-// migration shards read pending bytes and writers dirty disjoint files, on
-// both planes.  Once the writers stop and the clusters are re-replicated,
+// -race: two goroutines per cluster run replication rounds back to back
+// (so rounds race each other on the payload workers) while migration
+// shards read pending bytes and writers dirty disjoint files, on both
+// planes.  Once the writers stop and the clusters are re-replicated,
 // the planes must agree and every valid replica must hold current content.
 func TestReplicateOnceConcurrent(t *testing.T) {
 	p := newPlanePair(t, 3, 3)
@@ -422,12 +423,20 @@ func TestReplicateOnceConcurrent(t *testing.T) {
 		}
 		files[i] = file{path: path, home: home, pfi: pfi, mfi: mfi}
 	}
-	p.payload.StartReplicator(time.Millisecond)
-	p.meta.StartReplicator(time.Millisecond)
-
 	var writers, others sync.WaitGroup
 	stop := make(chan struct{})
 	errs := make(chan error, nFiles+2) // each writer and pricing shard fails at most once
+	round := func(c *Cluster) {
+		defer others.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				c.ReplicateOnce()
+			}
+		}
+	}
 	for i := range files {
 		writers.Add(1)
 		go func(f file) { // one writer per file, with its own clients
@@ -456,18 +465,9 @@ func TestReplicateOnceConcurrent(t *testing.T) {
 		}(files[i])
 	}
 	for _, c := range []*Cluster{p.payload, p.meta} {
-		others.Add(2)
-		go func(c *Cluster) { // explicit rounds beside the background loop
-			defer others.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					c.ReplicateOnce()
-				}
-			}
-		}(c)
+		others.Add(3)
+		go round(c)
+		go round(c)
 		go func(c *Cluster) { // a migration shard pricing moves
 			defer others.Done()
 			cl, err := c.NewClient(p.workers[0])
@@ -499,8 +499,6 @@ func TestReplicateOnceConcurrent(t *testing.T) {
 	writers.Wait()
 	close(stop)
 	others.Wait()
-	p.payload.StopReplicator()
-	p.meta.StopReplicator()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
@@ -628,6 +626,64 @@ func TestDirtyRangeRacingRoundKeepsWrite(t *testing.T) {
 		rb, _ := b.BlockMeta(id)
 		if len(loc.Stale) == 1 && loc.Stale[0] == "dc-a" && ra == rb {
 			t.Fatalf("file %d: dc-b is the valid holder but holds dc-a's older record %+v", i, rb)
+		}
+	}
+}
+
+// TestWriteBlockRacingRoundKeepsWrite is the payload-plane WriteBlock case
+// of TestDirtyRangeRacingRoundKeepsWrite: a write on a stale holder races a
+// round that plans a copy onto that holder.  Either order is fine, but
+// every valid replica must end up holding the last write's bytes.
+func TestWriteBlockRacingRoundKeepsWrite(t *testing.T) {
+	cluster := NewCluster(NewMaster(2))
+	a, b := NewWorker("dc-a"), NewWorker("dc-b")
+	for _, w := range []*Worker{a, b} {
+		if err := cluster.AddWorker(w, string(w.ID())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ca, err := cluster.NewClient("dc-a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb, err := cluster.NewClient("dc-b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const size = 4096
+	older, last := bytes.Repeat([]byte{1}, size), bytes.Repeat([]byte{2}, size)
+	for i := 0; i < 2000; i++ {
+		path := fmt.Sprintf("/f%d", i)
+		fi, err := ca.Create(path, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cluster.ReplicateOnce() // dc-b holds the zero block
+		if err := ca.WriteBlock(path, 0, older); err != nil {
+			t.Fatal(err) // dc-b is stale
+		}
+		done := make(chan struct{})
+		go func() {
+			cluster.ReplicateOnce()
+			close(done)
+		}()
+		if err := cb.WriteBlock(path, 0, last); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+		loc, err := cluster.Master().BlockLocations(fi.Blocks[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range loc.Valid {
+			s, _ := cluster.store(w)
+			data, err := s.ReadBlock(fi.Blocks[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(data, last) {
+				t.Fatalf("file %d: valid holder %s holds %#x..., want the last write %#x...", i, w, data[0], last[0])
+			}
 		}
 	}
 }

@@ -5,13 +5,17 @@ import (
 	"sync"
 )
 
-// BlockStore is the interface a worker exposes to clients and to other
-// workers (for re-replication).  The in-memory Worker implements it
-// directly; the rpc package wraps it for networked deployments; MetaWorker
-// implements the metadata plane (see meta.go).
+// BlockStore is a worker's replica store, living in the same process as
+// its cluster and reached by clients and by replication rounds.  Worker
+// stores payload bytes; MetaWorker stores a replica as a metadata record
+// (see meta.go).  A cluster is plane-homogeneous: replicas are copied
+// between stores of one kind.
 type BlockStore interface {
 	// ID returns the worker's identity.
 	ID() WorkerID
+	// CreateBlock registers a fresh all-zero block of the given size
+	// without the caller materializing its bytes.
+	CreateBlock(id BlockID, size int64) error
 	// WriteBlock stores (or overwrites) a block replica.
 	WriteBlock(id BlockID, data []byte) error
 	// ReadBlock returns a copy of a block replica.
@@ -23,39 +27,6 @@ type BlockStore interface {
 	// BytesStored returns the total bytes held.
 	BytesStored() int64
 }
-
-// Optional BlockStore capabilities.  The cluster and client type-switch on
-// these to pick the cheapest path that preserves the externally visible
-// counters (BytesStored, staleness, pending-migration bytes); every store
-// still works through the plain BlockStore interface.
-type (
-	// blockCreator registers a freshly created all-zero block without the
-	// caller materializing payload bytes, making Client.Create O(blocks).
-	blockCreator interface {
-		CreateBlock(id BlockID, size int64) error
-	}
-	// blockDirtier records whole-block overwrites of a file's block range
-	// as version bumps — the metadata-plane write.  Payload stores
-	// deliberately do not implement it, so the payload plane keeps storing
-	// real bytes.
-	blockDirtier interface {
-		dirtyRange(fi *FileInfo, first, count int)
-	}
-	// metaSource / metaSink replicate a block as {version, length,
-	// digest} scalars, accounting the bytes arithmetically.
-	metaSource interface {
-		BlockMeta(id BlockID) (BlockMeta, bool)
-	}
-	metaSink interface {
-		PutBlockMeta(id BlockID, m BlockMeta) error
-	}
-	// borrowReader lends the replica's bytes to f without copying them —
-	// the intra-process replication fast path.  f must not retain or
-	// mutate the slice and must not call back into the same store.
-	borrowReader interface {
-		borrowBlock(id BlockID, f func(data []byte) error) error
-	}
-)
 
 // blockPool recycles DefaultBlockSize payload buffers across WriteBlock /
 // DeleteBlock cycles so the payload plane's steady state stops allocating
@@ -98,7 +69,7 @@ type payloadBlock struct {
 }
 
 // Worker is an in-memory payload block store, one per datacenter in a
-// payload-plane emulation and the store behind the rpc/TCP path.
+// payload-plane cluster.
 type Worker struct {
 	id     WorkerID
 	mu     sync.RWMutex
@@ -106,11 +77,7 @@ type Worker struct {
 	bytes  int64
 }
 
-var (
-	_ BlockStore   = (*Worker)(nil)
-	_ blockCreator = (*Worker)(nil)
-	_ borrowReader = (*Worker)(nil)
-)
+var _ BlockStore = (*Worker)(nil)
 
 // NewWorker returns an empty worker.
 func NewWorker(id WorkerID) *Worker {
@@ -173,9 +140,10 @@ func (w *Worker) ReadBlock(id BlockID) ([]byte, error) {
 	return out, nil
 }
 
-// borrowBlock lends the replica's bytes to f without copying.  The slice is
-// only valid during the call; for never-written zero blocks it is the
-// shared zeroPayload, so f must treat it as read-only.
+// borrowBlock lends the replica's bytes to f without copying — the
+// replication copy path.  The slice is only valid during the call; for
+// never-written zero blocks it is the shared zeroPayload, so f must treat
+// it as read-only, and f must not call back into the same store.
 func (w *Worker) borrowBlock(id BlockID, f func(data []byte) error) error {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
