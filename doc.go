@@ -155,7 +155,12 @@
 // The follow-the-renewables emulation (internal/emul) is GreenNebula's hot
 // path: every emulated hour forecasts green power, partitions the load,
 // migrates VMs over the emulated WAN and dirties each VM's disk blocks into
-// GDFS.  Two designs keep it at production scale:
+// GDFS.  The WAN is one wan.Link (emul.Config.Link) shared by every pair of
+// datacenters: internal/migrate prices each pre-copy migration on it, and
+// since no receiver is closer than another, sched.MigrationSchedule tries
+// receivers in name order.  Inside a datacenter, internal/nebula packs VMs
+// first fit onto identical hosts.  Two designs keep the loop at production
+// scale:
 //
 //   - GDFS carries two interchangeable data planes, both in-process stores
 //     beside the master.  The payload plane (gdfs.Worker) stores real block

@@ -1,7 +1,7 @@
 // Package emul is the GreenNebula emulation harness: it wires together the
 // within-datacenter managers (internal/nebula), the multi-datacenter
-// scheduler (internal/sched), the WAN and live-migration models
-// (internal/wan, internal/migrate), GDFS (internal/gdfs) and the green
+// scheduler (internal/sched), the live-migration model over one WAN link
+// (internal/migrate, internal/wan), GDFS (internal/gdfs) and the green
 // energy traces of the selected sites (internal/location) to reproduce the
 // follow-the-renewables experiments of Section V of the paper — in
 // particular the day-long load-distribution trace of Fig. 15.
@@ -10,7 +10,7 @@
 //
 // A Runner owns every piece of reusable state an emulation needs — the
 // green/PUE year traces (series.Block rows), the per-hour scheduler view
-// (states, forecast and PUE horizon windows, placements), the migration
+// (states, forecast and PUE horizon windows), the migration
 // pipeline's shards and the per-datacenter fleets — so the hour loop does
 // not allocate.  The rules:
 //
@@ -79,7 +79,8 @@ type Config struct {
 	HorizonHours int
 	// MigrationFraction is the conservative both-ends accounting fraction.
 	MigrationFraction float64
-	// Link is the WAN link used between every pair of datacenters.
+	// Link is the WAN link used between every pair of datacenters (zero
+	// bandwidth selects wan.DefaultLink).
 	Link wan.Link
 	// Predictor selects the green-energy predictor ("perfect",
 	// "persistence" or "diurnal"; default "perfect", as in the paper).
@@ -190,7 +191,6 @@ type Runner struct {
 	cfg     Config
 	names   []string
 	dcIndex map[string]int
-	network *wan.Network
 
 	// Year traces, one row per datacenter, backed by a single Block when
 	// every site shares a trace length (they do for one catalog).
@@ -214,15 +214,14 @@ type Runner struct {
 
 	// Per-hour scratch.  windows holds the forecast rows (0..n-1) and PUE
 	// rows (n..2n-1) of the scheduler's horizon view.
-	states     []sched.DatacenterState
-	windows    series.Block
-	placements map[string]vm.Fleet
-	migEnergy  []float64
-	migBytes   []int64
-	migIn      []int
-	migOut     []int
-	shards     []moveShard
-	movedOut   map[string]struct{}
+	states    []sched.DatacenterState
+	windows   series.Block
+	migEnergy []float64
+	migBytes  []int64
+	migIn     []int
+	migOut    []int
+	shards    []moveShard
+	movedOut  map[string]struct{}
 
 	// Streaming state: the tick counter advanced by Step/Replay, the
 	// per-datacenter green-production scale (streamed weather updates;
@@ -264,7 +263,7 @@ type Tick struct {
 }
 
 // NewRunner validates the configuration and builds the immutable parts of
-// an emulation: WAN mesh, green/PUE traces, predictors, scheduler.
+// an emulation: datacenter index, green/PUE traces, predictors, scheduler.
 func NewRunner(cfg Config) (*Runner, error) {
 	if len(cfg.Datacenters) < 2 {
 		return nil, ErrNoDatacenters
@@ -287,23 +286,22 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if cfg.Link.BandwidthMbps == 0 {
 		cfg.Link = wan.DefaultLink
 	}
+	if !(cfg.Link.BandwidthMbps > 0) {
+		return nil, fmt.Errorf("emul: link bandwidth %v Mbps must be positive", cfg.Link.BandwidthMbps)
+	}
 	n := len(cfg.Datacenters)
 	r := &Runner{cfg: cfg}
 	r.names = make([]string, n)
+	r.dcIndex = make(map[string]int, n)
 	for i, dc := range cfg.Datacenters {
 		if dc.Site == nil {
 			return nil, fmt.Errorf("emul: datacenter %q has no site", dc.Name)
 		}
+		if _, dup := r.dcIndex[dc.Name]; dup {
+			return nil, fmt.Errorf("emul: duplicate datacenter name %q", dc.Name)
+		}
 		r.names[i] = dc.Name
-	}
-	network, err := wan.FullMesh(r.names, cfg.Link)
-	if err != nil {
-		return nil, err
-	}
-	r.network = network
-	r.dcIndex = make(map[string]int, n)
-	for i, name := range r.names {
-		r.dcIndex[name] = i
+		r.dcIndex[dc.Name] = i
 	}
 
 	// Green production and PUE traces per datacenter (hourly, UTC clock).
@@ -376,7 +374,6 @@ func NewRunner(cfg Config) (*Runner, error) {
 	r.fleets = make([]vm.Fleet, n)
 	r.states = make([]sched.DatacenterState, n)
 	r.windows = series.NewBlock(2*n, cfg.HorizonHours)
-	r.placements = make(map[string]vm.Fleet, n)
 	r.migEnergy = make([]float64, n)
 	r.migBytes = make([]int64, n)
 	r.migIn = make([]int, n)
@@ -572,7 +569,7 @@ func (r *Runner) Step() (*Tick, error) {
 	if err != nil {
 		return nil, fmt.Errorf("emul: hour %d: %w", r.hour, err)
 	}
-	moves, err := r.scheduler.MigrationSchedule(r.states, r.placements, plan, r.network.Distance)
+	moves, err := r.scheduler.MigrationSchedule(r.states, r.fleets, plan)
 	if err != nil {
 		return nil, err
 	}
@@ -604,9 +601,8 @@ func (r *Runner) Replay(moves []sched.Migration) (*Tick, error) {
 
 // buildStates fills the scheduler's view of each datacenter in the Runner's
 // scratch: forecast and PUE horizon windows are Block rows (forecasts
-// scaled by any streamed weather update), the placements map points at the
-// maintained (footprint-sorted) fleets so MigrationSchedule skips its
-// copy-and-sort.
+// scaled by any streamed weather update).  Step hands MigrationSchedule the
+// maintained (footprint-sorted) fleets, so it skips its copy-and-sort.
 func (r *Runner) buildStates(absHour int) error {
 	cfg := &r.cfg
 	n := len(cfg.Datacenters)
@@ -628,7 +624,6 @@ func (r *Runner) buildStates(absHour int) error {
 			PUE:                pues,
 			GridPriceUSDPerKWh: dc.Site.GridPriceUSDPerKWh,
 		}
-		r.placements[dc.Name] = r.fleets[i]
 	}
 	return nil
 }
@@ -868,7 +863,7 @@ func (r *Runner) runShard(si int, moves []sched.Migration) {
 			From:        mv.From,
 			To:          mv.To,
 			DirtyDiskMB: float64(pendingBytes) / (1 << 20),
-		}, r.network, migrate.Options{EpochHours: r.cfg.MigrationFraction})
+		}, r.cfg.Link, migrate.Options{EpochHours: r.cfg.MigrationFraction})
 		if err != nil {
 			sh.err = err
 			return

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"greencloud/internal/location"
+	"greencloud/internal/sched"
 	"greencloud/internal/vm"
 	"greencloud/internal/wan"
 )
@@ -99,6 +100,46 @@ func TestRunValidation(t *testing.T) {
 	cfg.Datacenters[0].Site = nil
 	if _, err := Run(cfg); err == nil {
 		t.Error("missing site should error")
+	}
+}
+
+// TestNewRunnerRejectsBadTopology pins the intake checks on the datacenter
+// list and the WAN link: every name must be unique (moves address
+// datacenters by name) and the link needs a positive bandwidth.
+func TestNewRunnerRejectsBadTopology(t *testing.T) {
+	cfg := testConfig(t, 2)
+	cfg.Datacenters[1].Name = cfg.Datacenters[0].Name
+	if _, err := NewRunner(cfg); err == nil {
+		t.Error("duplicate datacenter names should error")
+	}
+	cfg = testConfig(t, 2)
+	cfg.Link.BandwidthMbps = -1
+	if _, err := NewRunner(cfg); err == nil {
+		t.Error("negative link bandwidth should error")
+	}
+}
+
+// TestReplayRejectsBadMoves pins the checks on a replayed schedule, which
+// comes from a snapshot: a move must name known datacenters, and a
+// distinct donor and receiver.
+func TestReplayRejectsBadMoves(t *testing.T) {
+	cfg := testConfig(t, 2)
+	r, err := NewRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	home := cfg.Datacenters[0].Name
+	for _, mv := range []sched.Migration{
+		{VM: cfg.VMs[0], From: home, To: "nowhere"},
+		{VM: cfg.VMs[0], From: "nowhere", To: home},
+		{VM: cfg.VMs[0], From: home, To: home},
+	} {
+		if err := r.Start(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := r.Replay([]sched.Migration{mv}); err == nil {
+			t.Errorf("replaying %s→%s should error", mv.From, mv.To)
+		}
 	}
 }
 

@@ -124,15 +124,10 @@ func (s *standard) installBasis(w *Basis) ([]int, []bool, []int, []float64, bool
 	var dvxCols []int
 	var dvxW []float64
 	if len(w.devexW) > 0 {
-		if s.scr != nil {
-			s.scr.carriedIdx = growInts(s.scr.carriedIdx, len(w.devexW))
-			s.scr.carriedW = growFloats(s.scr.carriedW, len(w.devexW))
-			dvxCols = s.scr.carriedIdx[:0]
-			dvxW = s.scr.carriedW[:0]
-		} else {
-			dvxCols = make([]int, 0, len(w.devexW))
-			dvxW = make([]float64, 0, len(w.devexW))
-		}
+		s.scr.carriedIdx = growInts(s.scr.carriedIdx, len(w.devexW))
+		s.scr.carriedW = growFloats(s.scr.carriedW, len(w.devexW))
+		dvxCols = s.scr.carriedIdx[:0]
+		dvxW = s.scr.carriedW[:0]
 		for k, cid := range w.devexCols {
 			if c, ok := colOf[cid]; ok {
 				if wv := w.devexW[k]; wv > 1 {

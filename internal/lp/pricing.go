@@ -106,12 +106,8 @@ func newDevexPricer(std *standard, partial bool) *devexPricer {
 		partial: partial,
 		cached:  cachedNone,
 	}
-	if std.scr != nil {
-		dx.rowW = growFloats(std.scr.rowW, std.m)
-		std.scr.rowW = dx.rowW
-	} else {
-		dx.rowW = make([]float64, std.m)
-	}
+	dx.rowW = growFloats(std.scr.rowW, std.m)
+	std.scr.rowW = dx.rowW
 	for i := range dx.rowW {
 		dx.rowW[i] = 1
 	}
@@ -131,13 +127,8 @@ func (dx *devexPricer) weights(s *solver) []float64 {
 // materializeW builds the dense weight vector: all 1s plus the carried
 // sparse entries, which are consumed by the fold.
 func (dx *devexPricer) materializeW(s *solver) []float64 {
-	var w []float64
-	if scr := s.std.scr; scr != nil {
-		w = growFloats(scr.devexW, s.std.nCols)
-		scr.devexW = w
-	} else {
-		w = make([]float64, s.std.nCols)
-	}
+	w := growFloats(s.std.scr.devexW, s.std.nCols)
+	s.std.scr.devexW = w
 	for i := range w {
 		w[i] = 1
 	}

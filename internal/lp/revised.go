@@ -148,9 +148,6 @@ type solver struct {
 }
 
 func newSolver(std *standard, ctl *solveControl, stats *Stats) *solver {
-	if stats == nil {
-		stats = &Stats{}
-	}
 	m := std.m
 	s := &solver{
 		std:        std,
@@ -166,12 +163,8 @@ func newSolver(std *standard, ctl *solveControl, stats *Stats) *solver {
 		y:          make([]float64, m),
 		rowScratch: make([]float64, m),
 	}
-	if std.scr != nil {
-		s.alpha = growFloats(std.scr.alpha, std.nTotal)
-		std.scr.alpha = s.alpha
-	} else {
-		s.alpha = make([]float64, std.nTotal)
-	}
+	s.alpha = growFloats(std.scr.alpha, std.nTotal)
+	std.scr.alpha = s.alpha
 	s.dvx = newDevexPricer(std, std.nTotal > partialMinCols)
 	return s
 }
@@ -1068,10 +1061,8 @@ func (s *solver) artificialsClean() bool {
 // standard-form values and (when Optimal) the captured basis.  A failed warm
 // attempt falls back to one cold solve unless the failure was a deadline or
 // cancellation — a budget stop is final, there is nothing left to retry on.
+// Counters accumulate into stats, which must be non-nil.
 func (s *standard) solve(warm *Basis, ctl *solveControl, stats *Stats) (Status, []float64, *Basis) {
-	if stats == nil {
-		stats = &Stats{}
-	}
 	if s.m == 0 {
 		// No rows: every column sits at whichever of its bounds its cost
 		// prefers; a negative cost with no finite upper bound is an
@@ -1129,19 +1120,13 @@ func (sv *solver) devexWeights() ([]int, []float64) {
 	if n == 0 {
 		return nil, nil
 	}
-	var cols []int
-	var wts []float64
-	if scr := sv.std.scr; scr != nil {
-		// Capture staging is scratch-backed: captureBasis copies the pairs
-		// into the Basis, so nothing here outlives the capture.
-		scr.capturedIdx = growInts(scr.capturedIdx, n)
-		scr.capturedW = growFloats(scr.capturedW, n)
-		cols = scr.capturedIdx[:0]
-		wts = scr.capturedW[:0]
-	} else {
-		cols = make([]int, 0, n)
-		wts = make([]float64, 0, n)
-	}
+	// Capture staging is scratch-backed: captureBasis copies the pairs
+	// into the Basis, so nothing here outlives the capture.
+	scr := sv.std.scr
+	scr.capturedIdx = growInts(scr.capturedIdx, n)
+	scr.capturedW = growFloats(scr.capturedW, n)
+	cols := scr.capturedIdx[:0]
+	wts := scr.capturedW[:0]
 	for j, wv := range sv.dvx.w {
 		if wv > 1 {
 			cols = append(cols, j)

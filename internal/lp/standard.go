@@ -91,8 +91,7 @@ type standard struct {
 	// scr is the owning Problem's solve scratch; the mirror above, the
 	// solver's alpha row and the devex weight vectors are carved from it so
 	// repeated solves (the milp/sched warm chains) reuse the buffers
-	// instead of re-allocating them.  Nil-safe: a standalone standard just
-	// allocates.
+	// instead of re-allocating them.  standardize always sets it.
 	scr *solveScratch
 }
 
@@ -165,22 +164,13 @@ func (s *standard) buildRows() {
 		return
 	}
 	end := s.colPtr[s.nTotal]
-	var ptr, cols, next []int
-	var vals []float64
-	if s.scr != nil {
-		ptr = growInts(s.scr.rowPtr, s.m+1)
-		cols = growInts(s.scr.rowCols, end)
-		vals = growFloats(s.scr.rowVals, end)
-		next = growInts(s.scr.rowNext, s.m)
-		s.scr.rowPtr, s.scr.rowCols, s.scr.rowVals, s.scr.rowNext = ptr, cols, vals, next
-		for i := range ptr {
-			ptr[i] = 0
-		}
-	} else {
-		ptr = make([]int, s.m+1)
-		cols = make([]int, end)
-		vals = make([]float64, end)
-		next = make([]int, s.m)
+	ptr := growInts(s.scr.rowPtr, s.m+1)
+	cols := growInts(s.scr.rowCols, end)
+	vals := growFloats(s.scr.rowVals, end)
+	next := growInts(s.scr.rowNext, s.m)
+	s.scr.rowPtr, s.scr.rowCols, s.scr.rowVals, s.scr.rowNext = ptr, cols, vals, next
+	for i := range ptr {
+		ptr[i] = 0
 	}
 	for _, r := range s.rowIdx[:end] {
 		ptr[r+1]++

@@ -1,7 +1,7 @@
-// Package migrate models live VM migration between datacenters over the
-// emulated WAN: iterative pre-copy of memory, shipping of the disk blocks
-// whose GDFS replica at the destination is stale, the final stop-and-copy
-// downtime, and the energy the migration costs at both ends.
+// Package migrate models live VM migration between datacenters over one
+// emulated WAN link (wan.Link): iterative pre-copy of memory, shipping of
+// the disk blocks whose GDFS replica at the destination is stale, the final
+// stop-and-copy downtime, and the energy the migration costs at both ends.
 //
 // The paper's placement framework charges a migrated workload for a full
 // epoch of energy at both the donor and the receiver (its migratePow term);
@@ -13,7 +13,6 @@ package migrate
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"time"
 
@@ -25,7 +24,8 @@ import (
 type Plan struct {
 	// VM is the machine to move.
 	VM vm.VM
-	// From and To are datacenter names known to the network.
+	// From and To name the donor and receiver datacenters; they must
+	// differ.
 	From string
 	To   string
 	// DirtyDiskMB is the amount of disk data whose replica at the
@@ -86,18 +86,14 @@ var (
 )
 
 // Simulate runs the pre-copy live-migration model for one VM over the given
-// network and returns its cost.
-func Simulate(plan Plan, network *wan.Network, opts Options) (*Result, error) {
+// link and returns its cost.
+func Simulate(plan Plan, link wan.Link, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	if err := plan.VM.Validate(); err != nil {
 		return nil, err
 	}
 	if plan.From == plan.To {
 		return nil, ErrSameDatacenter
-	}
-	link, err := network.LinkBetween(plan.From, plan.To)
-	if err != nil {
-		return nil, fmt.Errorf("migrate: %w", err)
 	}
 	if link.BandwidthMbps <= 0 {
 		return nil, ErrNoBandwidth
@@ -147,29 +143,4 @@ func Simulate(plan Plan, network *wan.Network, opts Options) (*Result, error) {
 	// Paper-style conservative accounting: a full epoch at both ends.
 	res.ConservativeEnergyKWh = plan.VM.PowerW / 1000 * opts.EpochHours
 	return res, nil
-}
-
-// SimulateBatch migrates a set of VMs between the same pair of datacenters,
-// sharing the link bandwidth equally (transfers are serialized in the
-// emulation, which gives the same total time as fair sharing).  It returns
-// the per-VM results and the aggregate energy and duration.
-func SimulateBatch(plans []Plan, network *wan.Network, opts Options) ([]*Result, *Result, error) {
-	results := make([]*Result, 0, len(plans))
-	total := &Result{}
-	for _, p := range plans {
-		r, err := Simulate(p, network, opts)
-		if err != nil {
-			return nil, nil, fmt.Errorf("migrate %s: %w", p.VM.ID, err)
-		}
-		results = append(results, r)
-		total.Rounds += r.Rounds
-		total.TransferredMB += r.TransferredMB
-		total.Duration += r.Duration
-		total.EnergyKWh += r.EnergyKWh
-		total.ConservativeEnergyKWh += r.ConservativeEnergyKWh
-		if r.Downtime > total.Downtime {
-			total.Downtime = r.Downtime
-		}
-	}
-	return results, total, nil
 }

@@ -9,20 +9,15 @@ import (
 	"greencloud/internal/wan"
 )
 
-func testNetwork(t *testing.T, mbps float64) *wan.Network {
-	t.Helper()
-	n, err := wan.FullMesh([]string{"bcn", "nj", "guam"}, wan.Link{BandwidthMbps: mbps, LatencyMs: 90})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return n
+func testLink(mbps float64) wan.Link {
+	return wan.Link{BandwidthMbps: mbps, LatencyMs: 90}
 }
 
 func TestSimulatePaperScenario(t *testing.T) {
 	// The paper's validation: a VM with 512 MB of memory plus ~110 MB of
 	// dirty disk migrates over a ~2 Mbps VPN in under an hour.
-	network := testNetwork(t, 2)
-	res, err := Simulate(Plan{VM: vm.NewHPCVM("vm-0"), From: "bcn", To: "nj", DirtyDiskMB: 110}, network, Options{})
+	link := testLink(2)
+	res, err := Simulate(Plan{VM: vm.NewHPCVM("vm-0"), From: "bcn", To: "nj", DirtyDiskMB: 110}, link, Options{})
 	if err != nil {
 		t.Fatalf("Simulate: %v", err)
 	}
@@ -53,8 +48,8 @@ func TestSimulatePaperScenario(t *testing.T) {
 }
 
 func TestSimulateFasterLinkIsFaster(t *testing.T) {
-	slow := testNetwork(t, 2)
-	fast := testNetwork(t, 1000)
+	slow := testLink(2)
+	fast := testLink(1000)
 	plan := Plan{VM: vm.NewHPCVM("vm-0"), From: "bcn", To: "nj", DirtyDiskMB: 110}
 	slowRes, err := Simulate(plan, slow, Options{})
 	if err != nil {
@@ -73,9 +68,9 @@ func TestSimulateFasterLinkIsFaster(t *testing.T) {
 }
 
 func TestSimulateWholeDiskWhenUnknown(t *testing.T) {
-	network := testNetwork(t, 1000)
+	link := testLink(1000)
 	v := vm.NewHPCVM("vm-0")
-	res, err := Simulate(Plan{VM: v, From: "bcn", To: "guam", DirtyDiskMB: -1}, network, Options{})
+	res, err := Simulate(Plan{VM: v, From: "bcn", To: "guam", DirtyDiskMB: -1}, link, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,17 +80,17 @@ func TestSimulateWholeDiskWhenUnknown(t *testing.T) {
 }
 
 func TestSimulateErrors(t *testing.T) {
-	network := testNetwork(t, 2)
+	link := testLink(2)
 	v := vm.NewHPCVM("vm-0")
-	if _, err := Simulate(Plan{VM: v, From: "bcn", To: "bcn"}, network, Options{}); !errors.Is(err, ErrSameDatacenter) {
+	if _, err := Simulate(Plan{VM: v, From: "bcn", To: "bcn"}, link, Options{}); !errors.Is(err, ErrSameDatacenter) {
 		t.Errorf("want ErrSameDatacenter, got %v", err)
 	}
-	if _, err := Simulate(Plan{VM: v, From: "bcn", To: "mars"}, network, Options{}); err == nil {
-		t.Error("unknown destination should error")
+	if _, err := Simulate(Plan{VM: v, From: "bcn", To: "nj"}, wan.Link{}, Options{}); !errors.Is(err, ErrNoBandwidth) {
+		t.Errorf("want ErrNoBandwidth, got %v", err)
 	}
 	bad := v
 	bad.MemoryMB = 0
-	if _, err := Simulate(Plan{VM: bad, From: "bcn", To: "nj"}, network, Options{}); err == nil {
+	if _, err := Simulate(Plan{VM: bad, From: "bcn", To: "nj"}, link, Options{}); err == nil {
 		t.Error("invalid VM should error")
 	}
 }
@@ -103,10 +98,10 @@ func TestSimulateErrors(t *testing.T) {
 func TestSimulateNonConvergingWorkloadStops(t *testing.T) {
 	// A workload that dirties memory faster than a slow link can drain must
 	// still terminate (MaxRounds cap) with a bounded number of rounds.
-	network := testNetwork(t, 1)
+	link := testLink(1)
 	v := vm.NewHPCVM("hot")
 	v.MemDirtyMBPerSecond = 1
-	res, err := Simulate(Plan{VM: v, From: "bcn", To: "nj", DirtyDiskMB: 0}, network, Options{MaxRounds: 5})
+	res, err := Simulate(Plan{VM: v, From: "bcn", To: "nj", DirtyDiskMB: 0}, link, Options{MaxRounds: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,37 +110,5 @@ func TestSimulateNonConvergingWorkloadStops(t *testing.T) {
 	}
 	if res.Downtime <= 0 {
 		t.Error("a non-converging pre-copy should end with a real stop-and-copy downtime")
-	}
-}
-
-func TestSimulateBatch(t *testing.T) {
-	network := testNetwork(t, 100)
-	fleet := vm.NewHPCFleet("vm", 3)
-	plans := make([]Plan, 0, len(fleet))
-	for _, v := range fleet {
-		plans = append(plans, Plan{VM: v, From: "bcn", To: "nj", DirtyDiskMB: 50})
-	}
-	results, total, err := SimulateBatch(plans, network, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("results = %d", len(results))
-	}
-	var sumEnergy float64
-	for _, r := range results {
-		sumEnergy += r.EnergyKWh
-	}
-	if total.EnergyKWh != sumEnergy {
-		t.Errorf("total energy %v != sum %v", total.EnergyKWh, sumEnergy)
-	}
-	if total.TransferredMB <= 0 || total.Duration <= 0 {
-		t.Error("batch totals not accumulated")
-	}
-	// A failing plan aborts the batch.
-	plans[1].To = "bcn"
-	plans[1].From = "bcn"
-	if _, _, err := SimulateBatch(plans, network, Options{}); err == nil {
-		t.Error("batch with an invalid plan should error")
 	}
 }

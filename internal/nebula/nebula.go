@@ -1,37 +1,22 @@
 // Package nebula is the within-datacenter VM manager GreenNebula builds on —
-// the stand-in for OpenNebula in the paper's architecture.  It tracks the
-// physical machines of one datacenter, places VMs on them (first fit),
-// reports the datacenter's IT power draw, and hands VMs over to the
-// cross-datacenter migration machinery.
+// the stand-in for OpenNebula in the paper's architecture.  It packs the VMs
+// of one datacenter onto identical physical hosts, first fit, and frees
+// their slots when the cross-datacenter migration machinery moves them away.
 package nebula
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"greencloud/internal/vm"
 )
 
-// Host is one physical machine.
-type Host struct {
-	// ID identifies the host within its datacenter.
-	ID string
-	// VCPUs and MemoryMB are the host's capacities.
-	VCPUs    int
-	MemoryMB int
-	// IdlePowerW and BusyPowerW bound the host's power draw; utilization
-	// interpolates between them.
-	IdlePowerW float64
-	BusyPowerW float64
-}
-
-// DefaultHost mirrors the paper's servers (Dell R610: 4 cores, 6 GB RAM,
-// 275 W peak, ~200 W at typical utilization).
-func DefaultHost(id string) Host {
-	return Host{ID: id, VCPUs: 4, MemoryMB: 6 * 1024, IdlePowerW: 120, BusyPowerW: 275}
-}
+// Host capacity mirrors the paper's servers (Dell R610: 4 cores, 6 GB RAM).
+const (
+	hostVCPUs    = 4
+	hostMemoryMB = 6 * 1024
+)
 
 // Errors returned by the manager.
 var (
@@ -40,15 +25,14 @@ var (
 	ErrDuplicateVM = errors.New("nebula: VM already placed")
 )
 
-// Datacenter manages the hosts and VM placement of one site.
+// Datacenter manages the VM placement of one site.  It is safe for
+// concurrent use.
 type Datacenter struct {
 	name string
 
-	mu        sync.Mutex
-	hosts     []Host
-	placement map[string]string // VM ID → host ID
-	vms       map[string]vm.VM
-	hostUsage map[string]*usage
+	mu     sync.Mutex
+	usage  []usage              // per host, by host index
+	placed map[string]placement // VM ID → the VM and its host
 }
 
 type usage struct {
@@ -56,154 +40,54 @@ type usage struct {
 	memoryMB int
 }
 
-// NewDatacenter returns a datacenter with the given hosts.
-func NewDatacenter(name string, hosts []Host) *Datacenter {
-	dc := &Datacenter{
-		name:      name,
-		hosts:     make([]Host, len(hosts)),
-		placement: make(map[string]string),
-		vms:       make(map[string]vm.VM),
-		hostUsage: make(map[string]*usage, len(hosts)),
-	}
-	copy(dc.hosts, hosts)
-	for _, h := range hosts {
-		dc.hostUsage[h.ID] = &usage{}
-	}
-	return dc
+type placement struct {
+	machine vm.VM
+	host    int
 }
 
-// NewUniformDatacenter returns a datacenter with n identical default hosts.
+// NewUniformDatacenter returns a datacenter with n identical hosts.
 func NewUniformDatacenter(name string, n int) *Datacenter {
-	hosts := make([]Host, 0, n)
-	for i := 0; i < n; i++ {
-		hosts = append(hosts, DefaultHost(fmt.Sprintf("%s-host-%03d", name, i)))
+	return &Datacenter{
+		name:   name,
+		usage:  make([]usage, n),
+		placed: make(map[string]placement),
 	}
-	return NewDatacenter(name, hosts)
 }
 
-// Name returns the datacenter's name.
-func (dc *Datacenter) Name() string { return dc.name }
-
-// Hosts returns the number of hosts.
-func (dc *Datacenter) Hosts() int {
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	return len(dc.hosts)
-}
-
-// Place admits a VM onto the first host with enough spare vCPUs and memory.
-func (dc *Datacenter) Place(machine vm.VM) (hostID string, err error) {
+// Place admits a VM onto the first host with enough spare vCPUs and memory
+// and returns that host's index.
+func (dc *Datacenter) Place(machine vm.VM) (int, error) {
 	if err := machine.Validate(); err != nil {
-		return "", err
+		return 0, err
 	}
 	dc.mu.Lock()
 	defer dc.mu.Unlock()
-	if _, ok := dc.vms[machine.ID]; ok {
-		return "", fmt.Errorf("%w: %s", ErrDuplicateVM, machine.ID)
+	if _, ok := dc.placed[machine.ID]; ok {
+		return 0, fmt.Errorf("%w: %s", ErrDuplicateVM, machine.ID)
 	}
-	for _, h := range dc.hosts {
-		u := dc.hostUsage[h.ID]
-		if u.vcpus+machine.VCPUs <= h.VCPUs && u.memoryMB+machine.MemoryMB <= h.MemoryMB {
+	for h := range dc.usage {
+		u := &dc.usage[h]
+		if u.vcpus+machine.VCPUs <= hostVCPUs && u.memoryMB+machine.MemoryMB <= hostMemoryMB {
 			u.vcpus += machine.VCPUs
 			u.memoryMB += machine.MemoryMB
-			dc.placement[machine.ID] = h.ID
-			dc.vms[machine.ID] = machine
-			return h.ID, nil
+			dc.placed[machine.ID] = placement{machine: machine, host: h}
+			return h, nil
 		}
 	}
-	return "", fmt.Errorf("%w: %s in %s", ErrNoCapacity, machine.ID, dc.name)
+	return 0, fmt.Errorf("%w: %s in %s", ErrNoCapacity, machine.ID, dc.name)
 }
 
 // Remove evicts a VM (after it migrated away or terminated) and returns it.
 func (dc *Datacenter) Remove(vmID string) (vm.VM, error) {
 	dc.mu.Lock()
 	defer dc.mu.Unlock()
-	machine, ok := dc.vms[vmID]
+	p, ok := dc.placed[vmID]
 	if !ok {
 		return vm.VM{}, fmt.Errorf("%w: %s", ErrUnknownVM, vmID)
 	}
-	hostID := dc.placement[vmID]
-	if u, ok := dc.hostUsage[hostID]; ok {
-		u.vcpus -= machine.VCPUs
-		u.memoryMB -= machine.MemoryMB
-	}
-	delete(dc.vms, vmID)
-	delete(dc.placement, vmID)
-	return machine, nil
-}
-
-// HostOf returns the host a VM runs on.
-func (dc *Datacenter) HostOf(vmID string) (string, error) {
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	h, ok := dc.placement[vmID]
-	if !ok {
-		return "", fmt.Errorf("%w: %s", ErrUnknownVM, vmID)
-	}
-	return h, nil
-}
-
-// VMs returns the VMs currently placed, sorted by ID.
-func (dc *Datacenter) VMs() vm.Fleet {
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	out := make(vm.Fleet, 0, len(dc.vms))
-	for _, m := range dc.vms {
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// VMCount returns the number of placed VMs.
-func (dc *Datacenter) VMCount() int {
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	return len(dc.vms)
-}
-
-// ITPowerW returns the datacenter's current IT power draw: every host with
-// at least one VM contributes idle power plus the power of its VMs, capped
-// at the host's busy power.
-func (dc *Datacenter) ITPowerW() float64 {
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	vmPowerPerHost := make(map[string]float64)
-	for vmID, hostID := range dc.placement {
-		vmPowerPerHost[hostID] += dc.vms[vmID].PowerW
-	}
-	total := 0.0
-	for _, h := range dc.hosts {
-		p, active := vmPowerPerHost[h.ID]
-		if !active {
-			continue // idle hosts are powered down in an HPC cloud
-		}
-		power := h.IdlePowerW + p
-		if power > h.BusyPowerW {
-			power = h.BusyPowerW
-		}
-		total += power
-	}
-	return total
-}
-
-// SpareCapacity reports how many more paper-style HPC VMs the datacenter
-// could admit.
-func (dc *Datacenter) SpareCapacity(sample vm.VM) int {
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	count := 0
-	for _, h := range dc.hosts {
-		u := dc.hostUsage[h.ID]
-		byCPU := (h.VCPUs - u.vcpus) / sample.VCPUs
-		byMem := (h.MemoryMB - u.memoryMB) / sample.MemoryMB
-		spare := byCPU
-		if byMem < spare {
-			spare = byMem
-		}
-		if spare > 0 {
-			count += spare
-		}
-	}
-	return count
+	u := &dc.usage[p.host]
+	u.vcpus -= p.machine.VCPUs
+	u.memoryMB -= p.machine.MemoryMB
+	delete(dc.placed, vmID)
+	return p.machine, nil
 }

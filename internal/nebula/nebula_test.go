@@ -9,38 +9,21 @@ import (
 
 func TestPlaceRemoveLifecycle(t *testing.T) {
 	dc := NewUniformDatacenter("barcelona", 3)
-	if dc.Name() != "barcelona" || dc.Hosts() != 3 {
-		t.Fatalf("unexpected datacenter: %s/%d", dc.Name(), dc.Hosts())
-	}
 	v := vm.NewHPCVM("vm-0")
-	host, err := dc.Place(v)
-	if err != nil {
+	if _, err := dc.Place(v); err != nil {
 		t.Fatalf("Place: %v", err)
-	}
-	if host == "" {
-		t.Fatal("empty host id")
 	}
 	if _, err := dc.Place(v); !errors.Is(err, ErrDuplicateVM) {
 		t.Errorf("want ErrDuplicateVM, got %v", err)
-	}
-	got, err := dc.HostOf("vm-0")
-	if err != nil || got != host {
-		t.Errorf("HostOf = %s, %v", got, err)
-	}
-	if dc.VMCount() != 1 {
-		t.Errorf("VMCount = %d", dc.VMCount())
 	}
 	removed, err := dc.Remove("vm-0")
 	if err != nil {
 		t.Fatalf("Remove: %v", err)
 	}
-	if removed.ID != "vm-0" {
-		t.Errorf("removed %s", removed.ID)
+	if removed != v {
+		t.Errorf("removed %+v, want %+v", removed, v)
 	}
 	if _, err := dc.Remove("vm-0"); !errors.Is(err, ErrUnknownVM) {
-		t.Errorf("want ErrUnknownVM, got %v", err)
-	}
-	if _, err := dc.HostOf("vm-0"); !errors.Is(err, ErrUnknownVM) {
 		t.Errorf("want ErrUnknownVM, got %v", err)
 	}
 	bad := vm.VM{}
@@ -73,77 +56,53 @@ func TestPlacementRespectsHostCapacity(t *testing.T) {
 func vmName(i int) string { return string(rune('a'+i)) + "-vm" }
 
 func TestSpareCapacityAndSpread(t *testing.T) {
+	// Three default hosts hold 12 paper VMs; after 9 placements exactly 3
+	// more fit.
 	dc := NewUniformDatacenter("dc", 3)
-	sample := vm.NewHPCVM("sample")
-	if got := dc.SpareCapacity(sample); got != 12 {
-		t.Errorf("SpareCapacity = %d, want 12 (3 hosts × 4 VMs)", got)
-	}
-	fleet := vm.NewHPCFleet("vm", 9)
-	for _, v := range fleet {
+	for _, v := range vm.NewHPCFleet("vm", 9) {
 		if _, err := dc.Place(v); err != nil {
 			t.Fatalf("Place(%s): %v", v.ID, err)
 		}
 	}
-	if got := dc.SpareCapacity(sample); got != 3 {
-		t.Errorf("SpareCapacity after 9 placements = %d, want 3", got)
-	}
-	if dc.VMCount() != 9 {
-		t.Errorf("VMCount = %d", dc.VMCount())
-	}
-	vms := dc.VMs()
-	if len(vms) != 9 {
-		t.Fatalf("VMs() returned %d", len(vms))
-	}
-	for i := 1; i < len(vms); i++ {
-		if vms[i-1].ID > vms[i].ID {
-			t.Fatal("VMs() not sorted")
+	for _, v := range vm.NewHPCFleet("spare", 3) {
+		if _, err := dc.Place(v); err != nil {
+			t.Fatalf("Place(%s) with spare capacity left: %v", v.ID, err)
 		}
 	}
-}
-
-func TestITPower(t *testing.T) {
-	dc := NewUniformDatacenter("dc", 2)
-	if dc.ITPowerW() != 0 {
-		t.Errorf("empty datacenter power = %v, want 0 (hosts powered down)", dc.ITPowerW())
-	}
-	if _, err := dc.Place(vm.NewHPCVM("vm-0")); err != nil {
-		t.Fatal(err)
-	}
-	p1 := dc.ITPowerW()
-	if p1 <= 0 {
-		t.Fatal("power should be positive with one VM")
-	}
-	// Adding a VM on the same host only adds the VM's power, not another
-	// idle host.
-	if _, err := dc.Place(vm.NewHPCVM("vm-1")); err != nil {
-		t.Fatal(err)
-	}
-	p2 := dc.ITPowerW()
-	if p2 <= p1 {
-		t.Errorf("power should grow with load: %v -> %v", p1, p2)
-	}
-	if p2-p1 > 100 {
-		t.Errorf("second VM added %v W, want roughly its own 30 W", p2-p1)
-	}
-	// Power never exceeds the hosts' busy power.
-	host := DefaultHost("h")
-	if p2 > 2*host.BusyPowerW {
-		t.Errorf("power %v exceeds the physical maximum", p2)
+	if _, err := dc.Place(vm.NewHPCVM("vm-overflow")); !errors.Is(err, ErrNoCapacity) {
+		t.Errorf("want ErrNoCapacity once the spare capacity is used, got %v", err)
 	}
 }
 
-func TestCustomHosts(t *testing.T) {
-	hosts := []Host{
-		{ID: "big", VCPUs: 64, MemoryMB: 256 * 1024, IdlePowerW: 200, BusyPowerW: 900},
+func TestPlaceFirstFit(t *testing.T) {
+	// A default host takes 4 paper VMs: the first four land on host 0, the
+	// next on host 1, and a slot freed on host 0 is reused before host 1's.
+	dc := NewUniformDatacenter("dc", 3)
+	fleet := vm.NewHPCFleet("vm", 5)
+	for i, v := range fleet {
+		host, err := dc.Place(v)
+		if err != nil {
+			t.Fatalf("Place(%s): %v", v.ID, err)
+		}
+		if want := i / 4; host != want {
+			t.Errorf("Place(%s) = host %d, want %d", v.ID, host, want)
+		}
 	}
-	dc := NewDatacenter("custom", hosts)
-	v := vm.NewHPCVM("vm-0")
-	v.VCPUs = 32
-	v.MemoryMB = 128 * 1024
-	if _, err := dc.Place(v); err != nil {
-		t.Fatalf("Place on big host: %v", err)
+	if _, err := dc.Remove(fleet[1].ID); err != nil {
+		t.Fatal(err)
 	}
-	if dc.Hosts() != 1 {
-		t.Errorf("Hosts = %d", dc.Hosts())
+	host, err := dc.Place(vm.NewHPCVM("vm-refill"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if host != 0 {
+		t.Errorf("refill landed on host %d, want the freed slot on host 0", host)
+	}
+	host, err = dc.Place(vm.NewHPCVM("vm-next"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if host != 1 {
+		t.Errorf("next VM landed on host %d, want host 1", host)
 	}
 }

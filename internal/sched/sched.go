@@ -8,8 +8,11 @@
 //     energy use, accounting for the energy overhead of migrations, and
 //  4. turns the first hour of that plan into a concrete migration schedule:
 //     donors are ordered by decreasing amount of power to migrate out, each
-//     donor sends VMs to the closest receiver first (first fit), choosing
-//     VMs with the smallest memory/disk footprint first.
+//     donor sends VMs to the first receiver with room (first fit), choosing
+//     VMs with the smallest memory/disk footprint first.  The paper sends
+//     to the closest receiver first; the emulated WAN is one link shared by
+//     every pair, so all receivers are equally close and are tried in name
+//     order.
 package sched
 
 import (
@@ -71,10 +74,6 @@ type Options struct {
 	// load consumes power at both ends (the paper's conservative value is
 	// 1.0).
 	MigrationFraction float64
-	// BrownWeight scales how much the objective penalizes brown energy
-	// versus migration churn; the default prices brown energy at each
-	// site's grid price and migrations at the donor's grid price.
-	BrownWeight float64
 	// LPTimeout, when positive, bounds the wall-clock time of the partition
 	// LP solve.  A solve that exceeds it degrades to the static greedy split
 	// (Plan.Degraded) instead of blocking the scheduling round — an hourly
@@ -96,9 +95,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MigrationFraction == 0 {
 		o.MigrationFraction = 1
-	}
-	if o.BrownWeight <= 0 {
-		o.BrownWeight = 1
 	}
 	return o
 }
@@ -385,7 +381,7 @@ func (s *Scheduler) updatePartitionLP(dcs []DatacenterState, totalLoadKW float64
 		// A tiny cost on migration power discourages gratuitous churn
 		// beyond its real energy cost.
 		migCost := dc.GridPriceUSDPerKWh * 0.1
-		brownCost := s.opts.BrownWeight * dc.GridPriceUSDPerKWh
+		brownCost := dc.GridPriceUSDPerKWh
 		for h := 0; h < horizon; h++ {
 			if err := prob.SetCost(s.migV[d][h], migCost); err != nil {
 				return err
@@ -448,57 +444,44 @@ type Migration struct {
 // MigrationSchedule turns the difference between the current per-datacenter
 // loads and the plan's first-hour loads into per-VM migration orders, using
 // the paper's policy: donors in decreasing order of power to shed, first-fit
-// to the closest receiver, smallest-footprint VMs first.
-func (s *Scheduler) MigrationSchedule(dcs []DatacenterState, placements map[string]vm.Fleet,
-	plan *Plan, distance func(a, b string) float64) ([]Migration, error) {
-
-	if plan == nil || len(plan.LoadKW) != len(dcs) {
-		return nil, errors.New("sched: plan does not match the datacenter list")
-	}
-	if distance == nil {
-		distance = func(a, b string) float64 { return 0 }
+// to the receivers, smallest-footprint VMs first.  fleets[d] holds the VMs
+// at dcs[d].  Every pair of datacenters shares one WAN link, so no receiver
+// is closer than another; receivers are tried in name order.
+func (s *Scheduler) MigrationSchedule(dcs []DatacenterState, fleets []vm.Fleet, plan *Plan) ([]Migration, error) {
+	if plan == nil || len(plan.LoadKW) != len(dcs) || len(fleets) != len(dcs) {
+		return nil, errors.New("sched: plan or fleets do not match the datacenter list")
 	}
 
 	type delta struct {
-		name    string
+		dc      int
 		surplus float64 // positive: must shed this much power
 	}
 	deltas := make([]delta, 0, len(dcs))
-	headroom := make(map[string]float64, len(dcs))
+	headroom := make([]float64, len(dcs))
+	var receivers []int
 	for d, dc := range dcs {
 		target := plan.LoadKW[d][0]
 		diff := dc.CurrentLoadKW - target
-		deltas = append(deltas, delta{name: dc.Name, surplus: diff})
+		deltas = append(deltas, delta{dc: d, surplus: diff})
 		if diff < 0 {
-			headroom[dc.Name] = -diff
+			headroom[d] = -diff
+			receivers = append(receivers, d)
 		}
 	}
 	// Donors in decreasing amount of power to migrate out.
 	sort.Slice(deltas, func(i, j int) bool { return deltas[i].surplus > deltas[j].surplus })
+	sort.Slice(receivers, func(i, j int) bool { return dcs[receivers[i]].Name < dcs[receivers[j]].Name })
 
 	var out []Migration
 	for _, donor := range deltas {
 		if donor.surplus <= 1e-9 {
 			continue
 		}
-		fleet := placements[donor.name]
+		fleet := fleets[donor.dc]
 		if !fleet.IsSortedByFootprint() {
 			fleet = fleet.SortByFootprint()
 		}
 		toShedW := donor.surplus * 1000
-
-		// Receivers closest to this donor first.
-		receivers := make([]string, 0, len(headroom))
-		for name := range headroom {
-			receivers = append(receivers, name)
-		}
-		sort.Slice(receivers, func(i, j int) bool {
-			di, dj := distance(donor.name, receivers[i]), distance(donor.name, receivers[j])
-			if di != dj {
-				return di < dj
-			}
-			return receivers[i] < receivers[j]
-		})
 
 		for _, machine := range fleet {
 			if toShedW <= 1e-9 {
@@ -507,7 +490,7 @@ func (s *Scheduler) MigrationSchedule(dcs []DatacenterState, placements map[stri
 			placed := false
 			for _, r := range receivers {
 				if headroom[r]*1000 >= machine.PowerW {
-					out = append(out, Migration{VM: machine, From: donor.name, To: r})
+					out = append(out, Migration{VM: machine, From: dcs[donor.dc].Name, To: dcs[r].Name})
 					headroom[r] -= machine.PowerW / 1000
 					toShedW -= machine.PowerW
 					placed = true
@@ -657,44 +640,4 @@ func (s *Scheduler) greenOrder(dcs []DatacenterState) []int {
 		return order[i] < order[j]
 	})
 	return order
-}
-
-// RoundLoads snaps a fractional power split onto whole VMs of the given
-// power, preserving the total count (largest remainder method).  The
-// emulation uses it to convert the LP's continuous loads into VM counts.
-func RoundLoads(loadKW []float64, vmPowerW float64, totalVMs int) []int {
-	n := len(loadKW)
-	counts := make([]int, n)
-	if totalVMs <= 0 || vmPowerW <= 0 {
-		return counts
-	}
-	type frac struct {
-		idx  int
-		frac float64
-	}
-	fracs := make([]frac, n)
-	assigned := 0
-	for i, l := range loadKW {
-		exact := l * 1000 / vmPowerW
-		counts[i] = int(math.Floor(exact + 1e-9))
-		if counts[i] < 0 {
-			counts[i] = 0
-		}
-		assigned += counts[i]
-		fracs[i] = frac{idx: i, frac: exact - float64(counts[i])}
-	}
-	sort.Slice(fracs, func(i, j int) bool { return fracs[i].frac > fracs[j].frac })
-	for i := 0; assigned < totalVMs && i < len(fracs); i++ {
-		counts[fracs[i].idx]++
-		assigned++
-	}
-	// If rounding overshot (possible when loads exceed the fleet), trim.
-	for i := 0; assigned > totalVMs && i < n; i++ {
-		over := assigned - totalVMs
-		if counts[i] >= over {
-			counts[i] -= over
-			assigned -= over
-		}
-	}
-	return counts
 }

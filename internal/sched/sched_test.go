@@ -219,25 +219,20 @@ func TestPartitionMigrationCostDiscouragesChurn(t *testing.T) {
 
 func TestMigrationSchedulePolicy(t *testing.T) {
 	s := New(Options{HorizonHours: 2, MigrationFraction: 1})
+	// The receivers are listed out of name order: "rx-a" must still fill
+	// first.
 	dcs := []DatacenterState{
 		{Name: "donor", CapacityKW: 10, CurrentLoadKW: 0.27}, // 9 VMs × 30 W
-		{Name: "near", CapacityKW: 10, CurrentLoadKW: 0},
-		{Name: "far", CapacityKW: 10, CurrentLoadKW: 0},
+		{Name: "rx-b", CapacityKW: 10, CurrentLoadKW: 0},
+		{Name: "rx-a", CapacityKW: 10, CurrentLoadKW: 0},
 	}
 	plan := &Plan{LoadKW: [][]float64{{0.03, 0}, {0.12, 0}, {0.12, 0}}}
 
 	big := vm.NewHPCVM("big")
 	big.DiskMB = 50 * 1024
-	fleet := append(vm.NewHPCFleet("small", 8), big)
-	placements := map[string]vm.Fleet{"donor": fleet}
+	fleets := []vm.Fleet{append(vm.NewHPCFleet("small", 8), big), nil, nil}
 
-	distance := func(a, b string) float64 {
-		if (a == "donor" && b == "near") || (a == "near" && b == "donor") {
-			return 1
-		}
-		return 100
-	}
-	moves, err := s.MigrationSchedule(dcs, placements, plan, distance)
+	moves, err := s.MigrationSchedule(dcs, fleets, plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,55 +244,33 @@ func TestMigrationSchedulePolicy(t *testing.T) {
 	if moves[0].VM.ID == "big" {
 		t.Error("the largest VM should migrate last")
 	}
-	// The closest receiver fills up first.
-	if moves[0].To != "near" {
-		t.Errorf("first migration goes to %s, want the closest receiver", moves[0].To)
+	// Receivers fill in name order.
+	if moves[0].To != "rx-a" {
+		t.Errorf("first migration goes to %s, want rx-a, the first receiver by name", moves[0].To)
 	}
-	nearPower, farPower := 0.0, 0.0
+	aPower, bPower := 0.0, 0.0
 	for _, m := range moves {
 		if m.From != "donor" {
 			t.Errorf("unexpected donor %s", m.From)
 		}
 		switch m.To {
-		case "near":
-			nearPower += m.VM.PowerW
-		case "far":
-			farPower += m.VM.PowerW
+		case "rx-a":
+			aPower += m.VM.PowerW
+		case "rx-b":
+			bPower += m.VM.PowerW
 		}
 	}
 	// Receivers should not get more power than the plan gives them headroom
 	// for (0.12 kW each).
-	if nearPower > 120+1e-6 || farPower > 120+1e-6 {
-		t.Errorf("receivers overloaded: near %v W, far %v W", nearPower, farPower)
+	if aPower > 120+1e-6 || bPower > 120+1e-6 {
+		t.Errorf("receivers overloaded: rx-a %v W, rx-b %v W", aPower, bPower)
 	}
-	// A mismatched plan errors.
-	if _, err := s.MigrationSchedule(dcs[:2], placements, plan, distance); err == nil {
+	// A mismatched plan or fleet list errors.
+	if _, err := s.MigrationSchedule(dcs[:2], fleets[:2], plan); err == nil {
 		t.Error("plan/datacenter mismatch should error")
 	}
-	// A nil distance function is tolerated.
-	if _, err := s.MigrationSchedule(dcs, placements, plan, nil); err != nil {
-		t.Errorf("nil distance: %v", err)
-	}
-}
-
-func TestRoundLoads(t *testing.T) {
-	counts := RoundLoads([]float64{0.15, 0.09, 0.03}, 30, 9)
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != 9 {
-		t.Fatalf("rounded counts sum to %d, want 9", total)
-	}
-	// 0.15 kW / 30 W = 5 VMs, 0.09 → 3, 0.03 → 1.
-	if counts[0] != 5 || counts[1] != 3 || counts[2] != 1 {
-		t.Errorf("counts = %v, want [5 3 1]", counts)
-	}
-	if got := RoundLoads([]float64{1, 2}, 0, 5); got[0] != 0 || got[1] != 0 {
-		t.Error("zero VM power should produce zero counts")
-	}
-	if got := RoundLoads(nil, 30, 5); len(got) != 0 {
-		t.Error("empty loads should produce empty counts")
+	if _, err := s.MigrationSchedule(dcs, fleets[:2], plan); err == nil {
+		t.Error("fleets/datacenter mismatch should error")
 	}
 }
 

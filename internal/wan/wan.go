@@ -1,20 +1,13 @@
-// Package wan emulates the wide-area links between datacenters: per-pair
-// bandwidth and latency, and the time it takes to transfer a given amount of
-// data when several transfers share a link.
+// Package wan describes the wide-area link between datacenters.  The
+// emulation joins every pair of its datacenters with one Link
+// (emul.Config.Link); internal/migrate prices a migration's transfer on it.
 //
 // The paper's prototype measured roughly 750 MB moved in under an hour over
-// a VPN between Barcelona and Piscataway; the emulation uses links of that
-// order by default, but every pair can be configured.
+// a VPN between Barcelona and Piscataway; the emulation uses a link of that
+// order by default.
 package wan
 
-import (
-	"errors"
-	"fmt"
-	"sync"
-	"time"
-)
-
-// Link describes the connectivity between one ordered pair of datacenters.
+// Link describes the connectivity between two datacenters.
 type Link struct {
 	// BandwidthMbps is the usable bandwidth in megabits per second.
 	BandwidthMbps float64
@@ -26,143 +19,3 @@ type Link struct {
 // ~750 MB/hour is about 1.7 Mbps sustained; round up to 2 Mbps with 90 ms of
 // latency.
 var DefaultLink = Link{BandwidthMbps: 2, LatencyMs: 90}
-
-// Errors returned by the network.
-var (
-	ErrUnknownPair = errors.New("wan: no link between the given datacenters")
-	ErrBadTransfer = errors.New("wan: transfer size must be non-negative")
-)
-
-// Network is a set of named datacenters and the links between them.
-type Network struct {
-	mu        sync.RWMutex
-	links     map[string]Link
-	transfers map[string]int // active transfers per pair key, for bandwidth sharing
-	defaultLk *Link
-}
-
-// NewNetwork returns an empty network.  If defaultLink is non-nil it is used
-// for any pair without an explicit link.
-func NewNetwork(defaultLink *Link) *Network {
-	var def *Link
-	if defaultLink != nil {
-		cp := *defaultLink
-		def = &cp
-	}
-	return &Network{
-		links:     make(map[string]Link),
-		transfers: make(map[string]int),
-		defaultLk: def,
-	}
-}
-
-func pairKey(from, to string) string {
-	if from < to {
-		return from + "|" + to
-	}
-	return to + "|" + from
-}
-
-// SetLink configures the (symmetric) link between two datacenters.
-func (n *Network) SetLink(a, b string, link Link) error {
-	if link.BandwidthMbps <= 0 {
-		return fmt.Errorf("wan: link %s-%s must have positive bandwidth", a, b)
-	}
-	if a == b {
-		return fmt.Errorf("wan: cannot link %s to itself", a)
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.links[pairKey(a, b)] = link
-	return nil
-}
-
-// LinkBetween returns the link between two datacenters.
-func (n *Network) LinkBetween(a, b string) (Link, error) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	if l, ok := n.links[pairKey(a, b)]; ok {
-		return l, nil
-	}
-	if n.defaultLk != nil && a != b {
-		return *n.defaultLk, nil
-	}
-	return Link{}, fmt.Errorf("%w: %s-%s", ErrUnknownPair, a, b)
-}
-
-// Distance returns a scheduling distance between two datacenters: the link
-// latency (GreenNebula migrates to the "closest" receiver first).  Unknown
-// pairs are infinitely far.
-func (n *Network) Distance(a, b string) float64 {
-	if a == b {
-		return 0
-	}
-	l, err := n.LinkBetween(a, b)
-	if err != nil {
-		return 1e18
-	}
-	return l.LatencyMs
-}
-
-// TransferDuration returns how long moving `bytes` from one datacenter to
-// the other takes on an otherwise idle link.
-func (n *Network) TransferDuration(bytes int64, from, to string) (time.Duration, error) {
-	if bytes < 0 {
-		return 0, ErrBadTransfer
-	}
-	if from == to || bytes == 0 {
-		return 0, nil
-	}
-	l, err := n.LinkBetween(from, to)
-	if err != nil {
-		return 0, err
-	}
-	seconds := float64(bytes*8) / (l.BandwidthMbps * 1e6)
-	seconds += l.LatencyMs / 1000
-	return time.Duration(seconds * float64(time.Second)), nil
-}
-
-// BeginTransfer reserves a share of the link for a transfer and returns the
-// effective bandwidth in Mbps (the link is shared equally among active
-// transfers) together with a release function.
-func (n *Network) BeginTransfer(from, to string) (float64, func(), error) {
-	l, err := n.LinkBetween(from, to)
-	if err != nil {
-		return 0, nil, err
-	}
-	key := pairKey(from, to)
-	n.mu.Lock()
-	n.transfers[key]++
-	active := n.transfers[key]
-	n.mu.Unlock()
-
-	release := func() {
-		n.mu.Lock()
-		defer n.mu.Unlock()
-		if n.transfers[key] > 0 {
-			n.transfers[key]--
-		}
-	}
-	return l.BandwidthMbps / float64(active), release, nil
-}
-
-// ActiveTransfers reports the number of in-flight transfers between a pair.
-func (n *Network) ActiveTransfers(a, b string) int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.transfers[pairKey(a, b)]
-}
-
-// FullMesh builds a network connecting every pair of the given datacenters
-// with the same link.
-func FullMesh(datacenters []string, link Link) (*Network, error) {
-	n := NewNetwork(nil)
-	for i := range datacenters {
-		for j := i + 1; j < len(datacenters); j++ {
-			if err := n.SetLink(datacenters[i], datacenters[j], link); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return n, nil
-}
