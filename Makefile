@@ -123,7 +123,9 @@ cover:
 # normalizes by, BenchmarkLPSolve keeps the cold partition-LP solve (and its
 # pivots/op metric) compiling and running, and BenchmarkLPPresolve keeps the
 # presolve on/off A/B (with its rows_removed/cols_removed metrics) alive —
-# each sub-benchmark at -benchtime=1x costs a few milliseconds.
+# each sub-benchmark at -benchtime=1x costs a few milliseconds, except
+# LPSolve/wide (about 0.6 s), the one solve wider than anything the
+# scheduler or the siting MILP builds.
 # BenchmarkPlannerTick measures the continuous planner's steady-state warm
 # tick (streamed ingest + RHS rewrite + warm re-solve + publish) — the
 # latency a plannerd client sees on POST /tick — and fails if a measured
@@ -161,8 +163,8 @@ bench:
 # CPU and heap profiles of one benchmark, written under profile/ (gitignored)
 # for `go tool pprof profile/cpu.out`.  PROFILE_BENCH picks the benchmark —
 # the default is the scheduler's end-to-end compute time (the optimization
-# loop the paper's Fig. 14 measures; the entry point the devex/partial-pricing
-# work was profiled with), but any benchmark name works:
+# loop the paper's Fig. 14 measures; the entry point the devex pricing work
+# was profiled with), but any benchmark name works:
 #   make profile PROFILE_BENCH=LPPresolve
 PROFILE_BENCH ?= SchedulerComputeTime
 

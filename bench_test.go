@@ -381,9 +381,13 @@ func BenchmarkEmulScale(b *testing.B) {
 
 // lpBenchDCs × lpBenchHorizon is the shape of the benchmark partition LP —
 // the scheduler's production shape (3 datacenters × 48 hours).
+// lpBenchWideDCs widens it past 4000 model rows and 8000 standard-form
+// columns, an order of magnitude beyond anything the scheduler or the
+// siting MILP solves.
 const (
 	lpBenchDCs     = 3
 	lpBenchHorizon = 48
+	lpBenchWideDCs = 30
 )
 
 // partitionLP builds a scheduler-shaped partition LP (nDC datacenters ×
@@ -460,21 +464,24 @@ func partitionLP(b *testing.B, nDC, horizon int, phase float64) *lp.Problem {
 // BenchmarkLPSolve measures a cold solve of the scheduler-shaped partition
 // LP (3 datacenters × 48 hours, 432 variables / 480 rows) — the from-scratch
 // path of the revised simplex: standardize, factorize the slack basis,
-// phase 1 + phase 2.  The presolve sub-benchmarks A/B the default reduction
-// pass against a raw solve of the same model.  Each reports pivots/op next
+// phase 1 + phase 2.  The presolve and raw sub-benchmarks A/B the default
+// reduction pass against a raw solve of the same model; wide solves the
+// 30-datacenter shape with presolve on.  Each reports pivots/op next
 // to ns/op, so a pricing change shows up both as wall-clock and as
 // iteration count.
 func BenchmarkLPSolve(b *testing.B) {
 	modes := []struct {
 		name string
+		nDC  int
 		mode lp.PresolveMode
 	}{
-		{"presolve", lp.PresolveAuto},
-		{"raw", lp.PresolveOff},
+		{"presolve", lpBenchDCs, lp.PresolveAuto},
+		{"raw", lpBenchDCs, lp.PresolveOff},
+		{"wide", lpBenchWideDCs, lp.PresolveAuto},
 	}
 	for _, m := range modes {
 		b.Run(m.name, func(b *testing.B) {
-			prob := partitionLP(b, lpBenchDCs, lpBenchHorizon, 0)
+			prob := partitionLP(b, m.nDC, lpBenchHorizon, 0)
 			opts := lp.SolveOptions{Presolve: m.mode}
 			pivots := 0
 			b.ReportAllocs()

@@ -67,11 +67,6 @@ type Config[S any] struct {
 
 	// Chains is the number of parallel search instances (default 1).
 	Chains int
-	// SyncEvery is retained for configuration compatibility.
-	//
-	// Deprecated: mid-run best-solution exchange was removed to make runs
-	// deterministic under parallel execution; the field is ignored.
-	SyncEvery int
 	// Seed makes the run reproducible.
 	Seed int64
 	// Sequential runs the chains one after another on the calling

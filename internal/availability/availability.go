@@ -47,9 +47,6 @@ func (t Tier) value() (float64, error) {
 	}
 }
 
-// Of returns the availability of a datacenter of the given tier.
-func Of(t Tier) (float64, error) { return t.value() }
-
 // String returns the tier name.
 func (t Tier) String() string {
 	switch t {

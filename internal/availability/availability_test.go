@@ -17,15 +17,15 @@ func TestTierValues(t *testing.T) {
 		{TierIV, 0.99995},
 	}
 	for _, tc := range cases {
-		got, err := Of(tc.tier)
+		got, err := tc.tier.value()
 		if err != nil {
-			t.Fatalf("Of(%v): %v", tc.tier, err)
+			t.Fatalf("%v: %v", tc.tier, err)
 		}
 		if got != tc.want {
-			t.Errorf("Of(%v) = %v, want %v", tc.tier, got, tc.want)
+			t.Errorf("%v availability = %v, want %v", tc.tier, got, tc.want)
 		}
 	}
-	if _, err := Of(Tier(9)); err == nil {
+	if _, err := Tier(9).value(); err == nil {
 		t.Error("unknown tier should error")
 	}
 	if TierIII.String() != "Tier III" {

@@ -192,9 +192,6 @@ func NewEvaluator(cat *location.Catalog, spec Spec) (*Evaluator, error) {
 	return e, nil
 }
 
-// Spec returns the spec the evaluator was built with (defaults applied).
-func (e *Evaluator) Spec() Spec { return e.spec }
-
 // Evaluate provisions and prices the candidate siting, returning a full
 // Solution with per-site series.  Only the returned Solution is allocated;
 // all intermediate state comes from the evaluator's scratch buffers.  The

@@ -18,8 +18,9 @@ type ExactOptions struct {
 	// MaxNodes caps the branch-and-bound nodes (0 = solver default).
 	MaxNodes int
 	// Deadline, when nonzero, bounds the wall-clock time of the search; at
-	// the deadline the best incumbent found so far is returned (Solution.Gap
-	// reports how far its bound was still open).
+	// the deadline the best incumbent found so far is re-priced and
+	// returned.  How far its bound was still open is not reported: the
+	// returned Solution carries no gap.
 	Deadline time.Time
 	// Ctx, when non-nil, cancels the search cooperatively.
 	Ctx context.Context

@@ -36,9 +36,6 @@ type SolveOptions struct {
 	MaxIterations int
 	// Seed makes the search reproducible.
 	Seed int64
-	// CapacityQuantumKW is the step used by capacity-changing moves;
-	// default TotalCapacityKW/8.
-	CapacityQuantumKW float64
 	// Sequential runs the annealing chains one after another instead of
 	// in parallel.  The solution is identical either way (chains are
 	// independent and merged deterministically); the switch exists so the
@@ -51,7 +48,7 @@ type SolveOptions struct {
 	Ctx context.Context
 }
 
-func (o SolveOptions) withDefaults(spec Spec) SolveOptions {
+func (o SolveOptions) withDefaults() SolveOptions {
 	if o.FilterKeep <= 0 {
 		o.FilterKeep = 60
 	}
@@ -60,9 +57,6 @@ func (o SolveOptions) withDefaults(spec Spec) SolveOptions {
 	}
 	if o.MaxIterations <= 0 {
 		o.MaxIterations = 250
-	}
-	if o.CapacityQuantumKW <= 0 {
-		o.CapacityQuantumKW = spec.TotalCapacityKW / 8
 	}
 	return o
 }
@@ -316,7 +310,7 @@ func Solve(cat *location.Catalog, spec Spec, opts SolveOptions) (*Solution, erro
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults(spec)
+	opts = opts.withDefaults()
 
 	filtered := opts.Candidates
 	if len(filtered) == 0 {
@@ -357,7 +351,7 @@ func Solve(cat *location.Catalog, spec Spec, opts SolveOptions) (*Solution, erro
 	if maxDCs == 0 {
 		maxDCs = minDCs + 12
 	}
-	quantum := opts.CapacityQuantumKW
+	quantum := spec.TotalCapacityKW / 8 // the step of capacity-changing moves
 
 	// Per-chain evaluators are built up front so a constructor failure is an
 	// ordinary error return instead of a panic inside a chain goroutine.

@@ -38,7 +38,7 @@
 // ratio test — so pricing drift can cost a re-pick, never a junk pivot,
 // and optimality is only declared after an exact rebuild.  Which column
 // that row nominates is the pricing rule (pricing.go): devex reference
-// weights, over a rotating candidate list on wide models.
+// weights over the full row.
 //
 // # Pricing
 //
@@ -51,14 +51,12 @@
 //     criterion without its per-column FTRANs.  Weights start at 1 over a
 //     reference framework, are updated in O(nnz) per pivot from the same
 //     BTRAN row that maintains the reduced costs, and the framework resets
-//     when the weight spread drifts past a ratio bound.  On models past a
-//     few thousand columns the full scan gives way to candidate-list
-//     partial pricing: a short list of the best scorers from a rotating
-//     section of the columns, re-verified exactly and refilled as it goes
-//     stale, with a full pass (never the list alone) required to declare
-//     optimality.  The same weights price the leaving row in the dual
-//     simplex, and both primal and dual weights are captured into Basis so
-//     warm restarts (SolveFrom) resume with the framework instead of
+//     when the weight spread drifts past a ratio bound.  Every pick scans
+//     the full maintained row; the scan rides along the per-pivot update
+//     pass, which already touches every column, so it costs no pass of its
+//     own.  The same weights price the leaving row in the dual simplex,
+//     and both primal and dual weights are captured into Basis so warm
+//     restarts (SolveFrom) resume with the framework instead of
 //     re-learning it.  On the scheduler's long, thin, near-degenerate
 //     partition LPs devex takes markedly fewer pivots than Dantzig's
 //     most-violating rule.
@@ -70,9 +68,9 @@
 //
 // Pricing changes pivot sequences, never statuses or objectives: the
 // differential suites check every solve against a frozen dense-tableau
-// reference.  Stats reports the pricing work per solve (PartialPasses,
-// CandidateRebuilds, DevexResets), and BenchmarkLPSolve in the repo root
-// reports pivots/op next to ns/op on the scheduler-shaped partition LP.
+// reference.  Stats reports the pricing work per solve (BlandSwitches,
+// DevexResets), and BenchmarkLPSolve in the repo root reports pivots/op
+// next to ns/op on scheduler-shaped partition LPs.
 //
 // # Warm starts
 //
@@ -388,13 +386,6 @@ type Stats struct {
 	// NaNGuards counts FTRAN/BTRAN outputs caught carrying NaN/Inf and
 	// answered with a refactorization instead of a poisoned pivot.
 	NaNGuards int
-	// PartialPasses counts candidate-list section scans by the partial
-	// pricing loop: how many rotating sections were examined to keep the
-	// candidate list fed.
-	PartialPasses int
-	// CandidateRebuilds counts candidate-list refills: the list ran dry and
-	// a rotating scan rebuilt it.
-	CandidateRebuilds int
 	// DevexResets counts devex reference-framework resets after the
 	// framework had learned from at least one pivot: weight drift past the
 	// ratio bound, a basis repair or NaN recovery invalidating what the
@@ -422,8 +413,6 @@ func (s *Stats) Add(o Stats) {
 	s.ColdFallbacks += o.ColdFallbacks
 	s.Repairs += o.Repairs
 	s.NaNGuards += o.NaNGuards
-	s.PartialPasses += o.PartialPasses
-	s.CandidateRebuilds += o.CandidateRebuilds
 	s.DevexResets += o.DevexResets
 	s.RowsRemoved += o.RowsRemoved
 	s.ColsRemoved += o.ColsRemoved

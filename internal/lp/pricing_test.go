@@ -87,8 +87,37 @@ func TestPricingRulesAgreeOnPartitionLP(t *testing.T) {
 			t.Errorf("phase %v: devex objective %v, dense %v", phase, sol.Objective, ref.Objective)
 		}
 		checkModelFeasible(t, k, prob, sol)
-		t.Logf("phase %v: pivots=%4d flips=%3d refactor=%2d partial=%4d rebuilds=%4d resets=%2d",
+		t.Logf("phase %v: pivots=%4d flips=%3d refactor=%2d resets=%2d",
 			phase, sol.Stats.Pivots, sol.Stats.BoundFlips, sol.Stats.Refactorizations,
-			sol.Stats.PartialPasses, sol.Stats.CandidateRebuilds, sol.Stats.DevexResets)
+			sol.Stats.DevexResets)
+	}
+}
+
+// TestWidePartitionLPPresolveAgrees solves the partition-shaped LP at 30
+// datacenters × 48 hours — 4368 rows and 8640 standard-form columns, far
+// wider than any LP the scheduler or the siting MILP builds — with presolve
+// on and off.  The dense reference is too slow at this size, so the two
+// solves check each other: both optimal, the same objective, and each
+// solution feasible in the model.
+func TestWidePartitionLPPresolveAgrees(t *testing.T) {
+	for k, phase := range []float64{0, 1.3} {
+		prob := partitionShapedLP(t, 30, 48, phase)
+		on, err := prob.Solve()
+		if err != nil {
+			t.Fatalf("phase %v: presolve on: %v", phase, err)
+		}
+		off, err := prob.SolveWithOptions(SolveOptions{Presolve: PresolveOff})
+		if err != nil {
+			t.Fatalf("phase %v: presolve off: %v", phase, err)
+		}
+		if on.Status != Optimal || off.Status != Optimal {
+			t.Fatalf("phase %v: status on %v, off %v; want both optimal", phase, on.Status, off.Status)
+		}
+		if diff := math.Abs(on.Objective - off.Objective); diff > 1e-9*math.Max(1, math.Abs(off.Objective)) {
+			t.Errorf("phase %v: presolve-on objective %v, presolve-off %v", phase, on.Objective, off.Objective)
+		}
+		checkModelFeasible(t, 2*k, prob, on)
+		checkModelFeasible(t, 2*k+1, prob, off)
+		t.Logf("phase %v: pivots on=%d off=%d", phase, on.Stats.Pivots, off.Stats.Pivots)
 	}
 }

@@ -3,6 +3,7 @@ package lp
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
 )
@@ -285,5 +286,46 @@ func TestStallLatchReleasesBackToDevex(t *testing.T) {
 	}
 	if sol.Stats.DevexResets == 0 {
 		t.Errorf("Stats.DevexResets = 0, want ≥ 1: releasing the stall latch must restart the devex framework; stats %+v", sol.Stats)
+	}
+}
+
+// TestPeriodicRefactorRepairMidPrimal injects a singular factorization at
+// the first periodic refactorization (refactorEvery pivots into a cold
+// solve), so the basis repair happens inside the primal loop rather than at
+// a solve's initial factorization.  The repaired basis is checked for primal
+// feasibility before pivoting resumes: the solve must either still reach the
+// clean optimum with a model-feasible solution or report ErrNumeric — never
+// a wrong optimum.
+func TestPeriodicRefactorRepairMidPrimal(t *testing.T) {
+	disarmAfter(t)
+	for k, phase := range []float64{0, 0.7, 1.3, 2.1, 2.6} {
+		prob := partitionShapedLP(t, 3, 48, phase)
+		clean, err := prob.Solve()
+		if err != nil {
+			t.Fatalf("phase %v: clean solve: %v", phase, err)
+		}
+		// Only the initial factorization may precede the periodic one: no
+		// stall switch, and enough pivots to reach refactorEvery.
+		if clean.Stats.Pivots <= refactorEvery || clean.Stats.BlandSwitches != 0 {
+			t.Fatalf("phase %v: clean solve took %d pivots, %d Bland switches; want > %d and 0",
+				phase, clean.Stats.Pivots, clean.Stats.BlandSwitches, refactorEvery)
+		}
+		ArmFault(FaultSingularLU, 1, 1)
+		sol, err := prob.Solve()
+		DisarmFaults()
+		if errors.Is(err, ErrNumeric) {
+			t.Logf("phase %v: ErrNumeric after the repair", phase)
+			continue
+		}
+		if err != nil {
+			t.Fatalf("phase %v: faulted solve: %v", phase, err)
+		}
+		if sol.Stats.Repairs < 1 {
+			t.Fatalf("phase %v: Stats.Repairs = 0, want ≥ 1; stats %+v", phase, sol.Stats)
+		}
+		if diff := math.Abs(sol.Objective - clean.Objective); diff > 1e-9*math.Max(1, math.Abs(clean.Objective)) {
+			t.Errorf("phase %v: objective after mid-primal repair = %v, clean %v", phase, sol.Objective, clean.Objective)
+		}
+		checkModelFeasible(t, k, prob, sol)
 	}
 }

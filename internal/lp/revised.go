@@ -165,7 +165,7 @@ func newSolver(std *standard, ctl *solveControl, stats *Stats) *solver {
 	}
 	s.alpha = growFloats(std.scr.alpha, std.nTotal)
 	std.scr.alpha = s.alpha
-	s.dvx = newDevexPricer(std, std.nTotal > partialMinCols)
+	s.dvx = newDevexPricer(std)
 	return s
 }
 

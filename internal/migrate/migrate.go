@@ -54,25 +54,23 @@ type Result struct {
 	ConservativeEnergyKWh float64
 }
 
+// Pre-copy limits.
+const (
+	// maxRounds caps the number of pre-copy rounds.
+	maxRounds = 8
+	// stopAndCopyMB is the dirty-set size below which the final
+	// stop-and-copy happens.
+	stopAndCopyMB = 16.0
+)
+
 // Options tunes the pre-copy model.
 type Options struct {
-	// MaxRounds caps the number of pre-copy rounds (default 8).
-	MaxRounds int
-	// StopAndCopyMB is the dirty-set size below which the final
-	// stop-and-copy happens (default 16 MB).
-	StopAndCopyMB float64
 	// EpochHours is the epoch length used for the conservative energy
 	// accounting (default 1 hour).
 	EpochHours float64
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxRounds <= 0 {
-		o.MaxRounds = 8
-	}
-	if o.StopAndCopyMB <= 0 {
-		o.StopAndCopyMB = 16
-	}
 	if o.EpochHours <= 0 {
 		o.EpochHours = 1
 	}
@@ -122,7 +120,7 @@ func Simulate(plan Plan, link wan.Link, opts Options) (*Result, error) {
 		// While that round was in flight the application kept dirtying
 		// memory (and a little disk).
 		dirtied := plan.VM.MemDirtyMBPerSecond*seconds + plan.VM.DiskDirtyMBPerHour*seconds/3600
-		if dirtied <= opts.StopAndCopyMB || round >= opts.MaxRounds {
+		if dirtied <= stopAndCopyMB || round >= maxRounds {
 			// Stop-and-copy the final dirty set.
 			res.TransferredMB += dirtied
 			downtimeSeconds := math.Min(dirtied/bandwidthMBps+link.LatencyMs/1000, maxSeconds)
@@ -132,7 +130,7 @@ func Simulate(plan Plan, link wan.Link, opts Options) (*Result, error) {
 		}
 		// Convergence guard: if the workload dirties faster than the link
 		// drains, pre-copy cannot converge and the dirty set stops
-		// shrinking; the MaxRounds cap above ends the loop.
+		// shrinking; the maxRounds cap above ends the loop.
 		toSend = dirtied
 	}
 	res.Duration = time.Duration(totalSeconds * float64(time.Second))

@@ -97,16 +97,16 @@ func TestSimulateErrors(t *testing.T) {
 
 func TestSimulateNonConvergingWorkloadStops(t *testing.T) {
 	// A workload that dirties memory faster than a slow link can drain must
-	// still terminate (MaxRounds cap) with a bounded number of rounds.
+	// still terminate (the maxRounds cap) with a bounded number of rounds.
 	link := testLink(1)
 	v := vm.NewHPCVM("hot")
 	v.MemDirtyMBPerSecond = 1
-	res, err := Simulate(Plan{VM: v, From: "bcn", To: "nj", DirtyDiskMB: 0}, link, Options{MaxRounds: 5})
+	res, err := Simulate(Plan{VM: v, From: "bcn", To: "nj", DirtyDiskMB: 0}, link, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rounds != 5 {
-		t.Errorf("rounds = %d, want the MaxRounds cap of 5", res.Rounds)
+	if res.Rounds != maxRounds {
+		t.Errorf("rounds = %d, want the maxRounds cap of %d", res.Rounds, maxRounds)
 	}
 	if res.Downtime <= 0 {
 		t.Error("a non-converging pre-copy should end with a real stop-and-copy downtime")

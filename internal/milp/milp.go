@@ -163,10 +163,6 @@ type Options struct {
 	// MaxNodes caps the number of explored nodes (0 means a generous
 	// default).
 	MaxNodes int
-	// IntegralityTol is the tolerance for treating a value as integral.
-	IntegralityTol float64
-	// Gap is the relative optimality gap at which the search stops early.
-	Gap float64
 	// Deadline, when nonzero, bounds the wall-clock time of the search and
 	// of every node relaxation.  At the deadline the best incumbent is
 	// returned with its bound gap.
@@ -186,11 +182,11 @@ func (o Options) withDefaults() Options {
 	if o.MaxNodes == 0 {
 		o.MaxNodes = 20000
 	}
-	if o.IntegralityTol == 0 {
-		o.IntegralityTol = 1e-6
-	}
 	return o
 }
+
+// integralityTol is the tolerance for treating a value as integral.
+const integralityTol = 1e-6
 
 // bound is an extra variable bound imposed along a branch.
 type bound struct {
@@ -220,7 +216,7 @@ func (p *Problem) SolveWithOptions(opts Options) (*Solution, error) {
 	if len(p.integers) == 0 {
 		sol, err := p.solveRelaxation(nil, nil, lpOpts)
 		if err != nil {
-			return convertLPFailure(sol, err)
+			return convertLPFailure(err)
 		}
 		return &Solution{Status: lp.Optimal, Objective: sol.Objective, values: sol.Values(),
 			Nodes: 1, Proven: true, LPStats: sol.Stats}, nil
@@ -304,7 +300,7 @@ func (p *Problem) SolveWithOptions(opts Options) (*Solution, error) {
 		// order (not map order) so ties break deterministically and node
 		// counts are reproducible run to run.
 		branchVar := lp.Var(-1)
-		worstFrac := opts.IntegralityTol
+		worstFrac := integralityTol
 		for v := 0; v < len(p.lpProto.vars); v++ {
 			if !p.integers[lp.Var(v)] {
 				continue
@@ -451,7 +447,9 @@ func (p *Problem) relaxation() (*lp.Problem, error) {
 	return prob, nil
 }
 
-func convertLPFailure(sol *lp.Solution, err error) (*Solution, error) {
+// convertLPFailure maps the relaxation's infeasible/unbounded outcome of an
+// integer-free problem onto the milp errors; anything else passes through.
+func convertLPFailure(err error) (*Solution, error) {
 	switch {
 	case errors.Is(err, lp.ErrInfeasible):
 		return &Solution{Status: lp.Infeasible}, ErrInfeasible

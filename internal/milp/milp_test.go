@@ -34,6 +34,42 @@ func TestPureLPPassThrough(t *testing.T) {
 	}
 }
 
+// TestPureLPFailures pins the integer-free path's failure mapping: with no
+// integer variables the relaxation's infeasible or unbounded outcome is the
+// answer, reported as the milp error with the matching Status.
+func TestPureLPFailures(t *testing.T) {
+	infeasible := NewProblem(lp.Minimize)
+	x, err := infeasible.AddVariable("x", 0, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := infeasible.AddConstraint("impossible", lp.GE, 5, lp.Term{Var: x, Coeff: 1}); err != nil {
+		t.Fatal(err)
+	}
+	unbounded := NewProblem(lp.Maximize)
+	if _, err := unbounded.AddVariable("y", 0, lp.Infinity, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		p      *Problem
+		want   error
+		status lp.Status
+	}{
+		{"infeasible", infeasible, ErrInfeasible, lp.Infeasible},
+		{"unbounded", unbounded, ErrUnbounded, lp.Unbounded},
+	} {
+		sol, err := tc.p.Solve()
+		if !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", tc.name, err, tc.want)
+			continue
+		}
+		if sol == nil || sol.Status != tc.status {
+			t.Errorf("%s: solution %+v, want Status %v", tc.name, sol, tc.status)
+		}
+	}
+}
+
 func TestKnapsack(t *testing.T) {
 	// 0/1 knapsack: values 10, 13, 7, 8; weights 5, 6, 3, 4; capacity 10.
 	// Optimum: items 2 and 4 (13+8=21, weight 10).

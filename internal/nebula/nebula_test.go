@@ -91,12 +91,12 @@ func TestPlaceFirstFit(t *testing.T) {
 	if _, err := dc.Remove(fleet[1].ID); err != nil {
 		t.Fatal(err)
 	}
-	host, err := dc.Place(vm.NewHPCVM("vm-refill"))
+	host, err := dc.Place(vm.NewHPCVM("vm-reuse"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if host != 0 {
-		t.Errorf("refill landed on host %d, want the freed slot on host 0", host)
+		t.Errorf("vm-reuse landed on host %d, want the freed slot on host 0", host)
 	}
 	host, err = dc.Place(vm.NewHPCVM("vm-next"))
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"time"
 
 	"greencloud/internal/emul"
@@ -144,8 +145,19 @@ func (ts TraceSpec) Build() (emul.Config, *location.Catalog, error) {
 			break
 		}
 	}
-	for len(picked) < ts.Datacenters && len(picked) < len(solar) {
-		picked = append(picked, solar[len(picked)])
+	// Fill up in solar order, starting where the spread pass's count
+	// leaves off and wrapping round to the sites it passed over, skipping
+	// the sites already picked.
+	start := len(picked)
+	for k := 0; k < len(solar) && len(picked) < ts.Datacenters; k++ {
+		cand := solar[(start+k)%len(solar)]
+		if !slices.Contains(picked, cand) {
+			picked = append(picked, cand)
+		}
+	}
+	if len(picked) < ts.Datacenters {
+		return emul.Config{}, nil, fmt.Errorf("plan: trace of %d datacenters: the %d-site catalog supplies only %d distinct sites",
+			ts.Datacenters, ts.Sites, len(picked))
 	}
 
 	dcs := make([]emul.DatacenterConfig, 0, len(picked))

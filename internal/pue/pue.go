@@ -54,18 +54,6 @@ func Series(temperatureC *timeseries.Hourly) *timeseries.Hourly {
 	return temperatureC.Map(FromTemperature)
 }
 
-// Average returns the yearly average PUE implied by an hourly temperature
-// trace (the per-location "PUE(d)" the paper reports in the 1.06–1.13 range).
-func Average(temperatureC *timeseries.Hourly) float64 {
-	return Series(temperatureC).Mean()
-}
-
-// Max returns the worst-case PUE over the year, used to size the datacenter's
-// power and cooling infrastructure (the paper's maxPUE(d)).
-func Max(temperatureC *timeseries.Hourly) float64 {
-	return Series(temperatureC).Max()
-}
-
 // Curve returns the (temperature, PUE) pairs for a sweep between lo and hi
 // °C with the given step, used to regenerate Fig. 4.
 func Curve(lo, hi, step float64) (temps, pues []float64) {

@@ -59,11 +59,12 @@ func TestAverageInPaperRange(t *testing.T) {
 	// paper's site mix.
 	for _, a := range weather.Archetypes() {
 		tr := weather.Generate(a, 5)
-		avg := Average(tr.TemperatureC)
+		s := Series(tr.TemperatureC)
+		avg := s.Mean()
 		if avg < 1.05 || avg > 1.20 {
 			t.Errorf("%v: average PUE %v outside plausible range", a, avg)
 		}
-		if Max(tr.TemperatureC) < avg-1e-6 {
+		if s.Max() < avg-1e-6 {
 			t.Errorf("%v: max PUE below average", a)
 		}
 	}
@@ -72,9 +73,9 @@ func TestAverageInPaperRange(t *testing.T) {
 func TestColdSitesHaveLowerPUE(t *testing.T) {
 	ridge := weather.Generate(weather.Ridge, 2)
 	desert := weather.Generate(weather.Desert, 2)
-	if Average(ridge.TemperatureC) >= Average(desert.TemperatureC) {
-		t.Errorf("ridge PUE %v should be below desert PUE %v",
-			Average(ridge.TemperatureC), Average(desert.TemperatureC))
+	ridgePUE, desertPUE := Series(ridge.TemperatureC).Mean(), Series(desert.TemperatureC).Mean()
+	if ridgePUE >= desertPUE {
+		t.Errorf("ridge PUE %v should be below desert PUE %v", ridgePUE, desertPUE)
 	}
 }
 

@@ -197,9 +197,6 @@ func (g *Grid) Epochs() []Epoch {
 	return out
 }
 
-// Epoch returns the i-th epoch.
-func (g *Grid) Epoch(i int) Epoch { return g.epochs[i] }
-
 // HoursRepresented returns the total number of real hours the grid stands
 // for (always 8760 within floating point error).
 func (g *Grid) HoursRepresented() float64 {
