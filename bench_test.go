@@ -310,9 +310,11 @@ func BenchmarkEmulDay(b *testing.B) {
 // partition LP, re-solve warm from the carried basis, execute the migration
 // schedule and publish the new serving view.  This is the latency a plannerd
 // client sees on POST /tick once the daemon is warm; the benchmark fails if
-// any measured tick falls back to a cold solve.
+// any measured tick falls back to a cold solve, or if a tick allocates 100
+// times or more (the partition LP reuses its standard form and solver
+// memory across ticks, so a warm tick allocates a small constant).
 func BenchmarkPlannerTick(b *testing.B) {
-	benchPlannerTick(b, plan.Config{Trace: plan.TraceSpec{}}, 2)
+	benchPlannerTick(b, plan.Config{Trace: plan.TraceSpec{}}, 2, 100)
 }
 
 // BenchmarkPlannerTickSnapshot is BenchmarkPlannerTick with snapshots on,
@@ -323,13 +325,14 @@ func BenchmarkPlannerTick(b *testing.B) {
 // records have doubled the file.
 func BenchmarkPlannerTickSnapshot(b *testing.B) {
 	cfg := plan.Config{Trace: plan.TraceSpec{}, SnapshotPath: filepath.Join(b.TempDir(), "plan.snap")}
-	benchPlannerTick(b, cfg, 1000)
+	benchPlannerTick(b, cfg, 1000, 0)
 }
 
 // benchPlannerTick times steady-state ticks of a daemon built from cfg
 // after warmup untimed ticks (at least past the first, cold-by-construction
-// solve).
-func benchPlannerTick(b *testing.B, cfg plan.Config, warmup int) {
+// solve).  A positive maxAllocs fails the benchmark when an untimed re-run
+// of the tick averages that many allocations or more.
+func benchPlannerTick(b *testing.B, cfg plan.Config, warmup int, maxAllocs float64) {
 	d, err := plan.New(cfg)
 	if err != nil {
 		b.Fatalf("build daemon: %v", err)
@@ -352,6 +355,17 @@ func benchPlannerTick(b *testing.B, cfg plan.Config, warmup int) {
 		}
 		if view.SnapshotError != "" {
 			b.Fatalf("snapshot write failed: %s", view.SnapshotError)
+		}
+	}
+	b.StopTimer()
+	if maxAllocs > 0 {
+		allocs := testing.AllocsPerRun(10, func() {
+			if _, err := d.Tick(plan.TickRequest{}); err != nil {
+				b.Fatalf("tick: %v", err)
+			}
+		})
+		if allocs >= maxAllocs {
+			b.Fatalf("a tick allocates %v times, want under %v", allocs, maxAllocs)
 		}
 	}
 }

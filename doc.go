@@ -33,10 +33,12 @@
 // the entering column's opposite bound — when that cap binds first, the
 // iteration is a bound flip: a status bit and a basic-solution update with
 // no basis change, no eta, no LU aging.  The form is stored column-wise
-// (CSC, built once per solve); the basis matrix is LU-factorized by a
-// Gilbert–Peierls sparse factorization with partial pivoting, updated by a
-// product-form eta file and refactorized every 64 pivots; FTRAN/BTRAN
-// triangular solves replace the dense tableau's whole-row elimination.
+// (CSC, refilled in place per solve from buffers the Problem owns, so a
+// warm re-solve allocates no standard form); the basis matrix is
+// LU-factorized by a Gilbert–Peierls sparse factorization with partial
+// pivoting, updated by a product-form eta file and refactorized every 64
+// pivots; FTRAN/BTRAN triangular solves replace the dense tableau's
+// whole-row elimination.
 // Pricing — devex reference weights, with Bland's rule only as the
 // anti-cycling latch — maintains the reduced-cost row incrementally (one
 // sparse BTRAN of the leaving unit vector plus one CSC pass per pivot),
@@ -234,7 +236,8 @@
 // starts, and the first solve of a fresh daemon carries no basis, so the
 // CI smoke asserts the counter is exactly 0 across all ticks).  At the
 // 3-datacenter/9-VM validation scale a steady-state tick is sub-millisecond
-// (BenchmarkPlannerTick gates it, with allocs, in BENCH_SMOKE).
+// and allocates a few dozen times (BenchmarkPlannerTick fails at 100 allocs
+// per tick, and runs in BENCH_SMOKE).
 //
 // Concurrency model: one mutex serializes the tick path (runner stepping +
 // snapshot writes); the serving state is an immutable-once-published

@@ -1,13 +1,13 @@
 // Package availability implements the paper's datacenter-network
-// availability model: each datacenter has a per-site availability determined
-// by its redundancy tier, and the network is considered available when at
-// least one datacenter is up, giving
+// availability model: each datacenter has a per-site availability a (the
+// paper's default, PaperDefault, is close to an Uptime Institute Tier III
+// site), and the network is considered available when at least one
+// datacenter is up, giving
 //
 //	A(n) = Σ_{i=0}^{n-1} C(n,i) · a^(n−i) · (1−a)^i
 //
-// for n datacenters of availability a.  The package also provides the
-// paper's additional sizing rule that the failure of n−1 datacenters must
-// still leave S/n servers available.
+// for n datacenters.  MinDatacenters turns a required network availability
+// into the smallest datacenter count that reaches it.
 package availability
 
 import (
@@ -16,52 +16,9 @@ import (
 	"math"
 )
 
-// Tier identifies an Uptime-Institute style redundancy tier.
-type Tier int
-
-// Datacenter tiers and their availabilities, as cited in the paper.
-const (
-	TierI Tier = iota + 1
-	TierII
-	TierIII
-	TierIV
-)
-
 // PaperDefault is the per-datacenter availability the paper assumes for its
 // "close to Tier III" datacenters (99.827 %).
 const PaperDefault = 0.99827
-
-// value returns the availability of a tier.
-func (t Tier) value() (float64, error) {
-	switch t {
-	case TierI:
-		return 0.9967, nil
-	case TierII:
-		return 0.9974, nil
-	case TierIII:
-		return 0.9998, nil
-	case TierIV:
-		return 0.99995, nil
-	default:
-		return 0, fmt.Errorf("availability: unknown tier %d", int(t))
-	}
-}
-
-// String returns the tier name.
-func (t Tier) String() string {
-	switch t {
-	case TierI:
-		return "Tier I"
-	case TierII:
-		return "Tier II"
-	case TierIII:
-		return "Tier III"
-	case TierIV:
-		return "Tier IV"
-	default:
-		return fmt.Sprintf("Tier(%d)", int(t))
-	}
-}
 
 // ErrUnreachable reports that no feasible datacenter count reaches the
 // requested availability.
@@ -97,15 +54,4 @@ func MinDatacenters(perSite, minAvailability float64, maxN int) (int, error) {
 		}
 	}
 	return 0, ErrUnreachable
-}
-
-// SurvivableShare returns the minimum fraction of the total server count
-// that each datacenter must host so that the failure of n−1 datacenters
-// leaves at least 1/n of the servers available (the paper's extra
-// constraint).  For n = 1 the answer is 1.
-func SurvivableShare(n int) (float64, error) {
-	if n < 1 {
-		return 0, errors.New("availability: need at least one datacenter")
-	}
-	return 1 / float64(n), nil
 }

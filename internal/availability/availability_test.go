@@ -6,36 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestTierValues(t *testing.T) {
-	cases := []struct {
-		tier Tier
-		want float64
-	}{
-		{TierI, 0.9967},
-		{TierII, 0.9974},
-		{TierIII, 0.9998},
-		{TierIV, 0.99995},
-	}
-	for _, tc := range cases {
-		got, err := tc.tier.value()
-		if err != nil {
-			t.Fatalf("%v: %v", tc.tier, err)
-		}
-		if got != tc.want {
-			t.Errorf("%v availability = %v, want %v", tc.tier, got, tc.want)
-		}
-	}
-	if _, err := Tier(9).value(); err == nil {
-		t.Error("unknown tier should error")
-	}
-	if TierIII.String() != "Tier III" {
-		t.Errorf("String() = %q", TierIII.String())
-	}
-	if Tier(9).String() == "" {
-		t.Error("unknown tier String() should not be empty")
-	}
-}
-
 func TestNetworkAvailability(t *testing.T) {
 	// One datacenter: network availability equals its own.
 	got, err := Network(1, PaperDefault)
@@ -130,22 +100,5 @@ func TestMinDatacenters(t *testing.T) {
 	// Unreachable within maxN.
 	if _, err := MinDatacenters(0.5, 0.9999999999, 3); err == nil {
 		t.Error("unreachable target should error")
-	}
-}
-
-func TestSurvivableShare(t *testing.T) {
-	got, err := SurvivableShare(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != 0.25 {
-		t.Errorf("SurvivableShare(4) = %v, want 0.25", got)
-	}
-	if _, err := SurvivableShare(0); err == nil {
-		t.Error("zero datacenters should error")
-	}
-	one, _ := SurvivableShare(1)
-	if one != 1 {
-		t.Errorf("SurvivableShare(1) = %v, want 1", one)
 	}
 }

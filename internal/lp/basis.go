@@ -50,7 +50,7 @@ func (s *standard) captureBasis(basis []int, atUpper []bool, devexCols []int, de
 		}
 	}
 	for i, bc := range basis {
-		b.cols[s.modelRow(i)] = s.colIDs[bc]
+		b.cols[s.rowOrig[i]] = s.colIDs[bc]
 	}
 	for j := range atUpper {
 		if atUpper[j] {
@@ -77,9 +77,8 @@ func (s *standard) captureBasis(basis []int, atUpper []bool, devexCols []int, de
 
 // installBasis maps a saved basis onto this standard form, returning one
 // basic column per row plus the nonbasic-at-upper statuses and any carried
-// devex reference weights in sparse form (nil when the basis carries none;
-// weights share the one identity map this translation builds anyway), or
-// false when the saved basis does not translate: the constraint count
+// devex reference weights in sparse form (nil when the basis carries none),
+// or false when the saved basis does not translate: the constraint count
 // changed, a referenced column no longer exists (a variable stopped being
 // free, the row lost its artificial after an rhs sign change) or two rows
 // map to the same column.  At-upper statuses degrade instead of failing: a
@@ -91,29 +90,30 @@ func (s *standard) captureBasis(basis []int, atUpper []bool, devexCols []int, de
 // A basis is always full-model-sized (one entry per model constraint); on a
 // presolve-reduced form only the surviving rows' entries are consulted —
 // entries for removed rows describe columns that no longer exist, which is
-// exactly why they are ignored rather than translated.
+// exactly why they are ignored rather than translated.  The returned
+// slices are solve scratch.
 func (s *standard) installBasis(w *Basis) ([]int, []bool, []int, []float64, bool) {
 	if w == nil || s.m == 0 || len(w.cols) != s.modelCons {
 		return nil, nil, nil, nil, false
 	}
-	colOf := make(map[colIdent]int, s.nCols)
-	for c := 0; c < s.nCols; c++ {
-		colOf[s.colIDs[c]] = c
-	}
-	basis := make([]int, s.m)
-	used := make([]bool, s.nCols)
-	for i := 0; i < s.m; i++ {
-		c, ok := colOf[w.cols[s.modelRow(i)]]
-		if !ok || used[c] {
+	scr := s.scr
+	scr.instBasis = grow(scr.instBasis, s.m)
+	scr.instUsed = grow(scr.instUsed, s.nCols)
+	scr.instUpper = grow(scr.instUpper, s.nCols)
+	basis, used, atUpper := scr.instBasis, scr.instUsed, scr.instUpper
+	clear(used)
+	clear(atUpper)
+	for i, mi := range s.rowOrig {
+		c := s.colByIdent(w.cols[mi])
+		if c < 0 || used[c] {
 			return nil, nil, nil, nil, false
 		}
 		used[c] = true
 		basis[i] = c
 	}
-	atUpper := make([]bool, s.nCols)
 	for _, cid := range w.upper {
-		c, ok := colOf[cid]
-		if !ok || used[c] {
+		c := s.colByIdent(cid)
+		if c < 0 || used[c] {
 			continue
 		}
 		if u := s.upper[c]; u == 0 || math.IsInf(u, 1) {
@@ -124,12 +124,12 @@ func (s *standard) installBasis(w *Basis) ([]int, []bool, []int, []float64, bool
 	var dvxCols []int
 	var dvxW []float64
 	if len(w.devexW) > 0 {
-		s.scr.carriedIdx = growInts(s.scr.carriedIdx, len(w.devexW))
-		s.scr.carriedW = growFloats(s.scr.carriedW, len(w.devexW))
-		dvxCols = s.scr.carriedIdx[:0]
-		dvxW = s.scr.carriedW[:0]
+		scr.carriedIdx = grow(scr.carriedIdx, len(w.devexW))
+		scr.carriedW = grow(scr.carriedW, len(w.devexW))
+		dvxCols = scr.carriedIdx[:0]
+		dvxW = scr.carriedW[:0]
 		for k, cid := range w.devexCols {
-			if c, ok := colOf[cid]; ok {
+			if c := s.colByIdent(cid); c >= 0 {
 				if wv := w.devexW[k]; wv > 1 {
 					dvxCols = append(dvxCols, c)
 					dvxW = append(dvxW, wv)
@@ -140,13 +140,25 @@ func (s *standard) installBasis(w *Basis) ([]int, []bool, []int, []float64, bool
 	return basis, atUpper, dvxCols, dvxW, true
 }
 
-// modelRow maps a standard-form row index to its model constraint index
-// (identity unless presolve removed rows).
-func (s *standard) modelRow(i int) int {
-	if s.rowOrig != nil {
-		return s.rowOrig[i]
+// colByIdent resolves a column identity on this standard form through the
+// dense per-kind indices — colOf, negPart, and rowInv then slackOf/artOf —
+// or returns -1 when the identity names no column here (out of range, a
+// presolve-removed variable or row, a variable that is not split, a row
+// without that slack or artificial).
+func (s *standard) colByIdent(id colIdent) int {
+	k := id.idx
+	switch {
+	case k < 0:
+	case id.kind == identStruct && k < len(s.colOf):
+		return s.colOf[k]
+	case id.kind == identNeg && k < len(s.colOf):
+		return s.negPart[k]
+	case id.kind == identSlack && k < s.modelCons && s.rowInv[k] >= 0:
+		return s.slackOf[s.rowInv[k]]
+	case id.kind == identArt && k < s.modelCons && s.rowInv[k] >= 0:
+		return s.artOf[s.rowInv[k]]
 	}
-	return i
+	return -1
 }
 
 // emptyBasis is the capture for a rowless standard form: every model

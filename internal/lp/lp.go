@@ -25,8 +25,12 @@
 // basis change, no eta and no LU aging at all.  Fixed variables (lo == hi)
 // are pinned columns that are never priced.
 //
-// The solver stores the standard form column-wise (CSC, built once per
-// solve in standardize) and never forms a dense tableau.  The basis matrix
+// The solver stores the standard form column-wise (CSC) and never forms a
+// dense tableau.  A Problem owns one standard form, one aggregated copy of
+// its constraint matrix and one solver's memory: standardize refills them in
+// place on every solve, straight from the aggregated matrix, so a warm
+// re-solve chain allocates no standard form, map or factorization storage,
+// yet every solve still starts from its own fresh LU.  The basis matrix
 // is LU-factorized by a Gilbert–Peierls sparse factorization with partial
 // pivoting (lu.go); each simplex pivot appends a product-form eta vector
 // instead of re-eliminating rows, and the basis is refactorized from
@@ -237,9 +241,10 @@ type Problem struct {
 
 	// structVer counts mutations of the constraint matrix itself — new
 	// variables or constraints, coefficient rewrites — as opposed to the
-	// bound/cost/rhs mutations of a warm re-solve chain.  Presolve keys its
-	// cached row/column mirror of the matrix on it (see solveScratch), so a
-	// SetRHS/SetBounds re-solve skips the O(nnz) rebuild.
+	// bound/cost/rhs mutations of a warm re-solve chain.  The aggregated
+	// matrix that presolve and standardize read is keyed on it (see
+	// modelMatrix), so a SetRHS/SetBounds/SetCost re-solve skips its O(nnz)
+	// rebuild.
 	structVer uint64
 }
 
@@ -542,10 +547,7 @@ func (p *Problem) SolveFromWithOptions(warm *Basis, opts SolveOptions) (*Solutio
 			return &Solution{Status: Infeasible, Stats: stats}, ErrInfeasible
 		}
 	}
-	std, err := p.standardize(ps)
-	if err != nil {
-		return nil, err
-	}
+	std := p.standardize(ps)
 	ctl := &solveControl{deadline: opts.Deadline, ctx: opts.Ctx, maxIters: opts.MaxIters}
 	status, values, basis := std.solve(warm, ctl, &stats)
 	switch status {

@@ -3,7 +3,7 @@ package lp
 import (
 	"errors"
 	"math"
-	"sort"
+	"slices"
 )
 
 // luFactor is a sparse LU factorization of the basis matrix B, computed by
@@ -58,30 +58,12 @@ var errSingularBasis = errors.New("lp: basis matrix is numerically singular")
 // declared singular.
 const luPivotTiny = 1e-11
 
-func growInts(s []int, n int) []int {
+// grow returns s resliced to length n, reallocating only when its capacity
+// is short.  The contents are whatever the buffer held; callers that need
+// zeros clear them.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
-}
-
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func growInt32s(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
+		return make([]T, n)
 	}
 	return s[:n]
 }
@@ -99,13 +81,13 @@ func (f *luFactor) factorize(st *standard, basis []int) error {
 	f.uColPtr = append(f.uColPtr[:0], 0)
 	f.uRows = f.uRows[:0]
 	f.uVals = f.uVals[:0]
-	f.uDiag = growFloats(f.uDiag, m)
-	f.prow = growInts(f.prow, m)
-	f.pinv = growInts(f.pinv, m)
-	f.q = growInts(f.q, m)
-	f.x = growFloats(f.x, m)
-	f.rowMark = growInt32s(f.rowMark, m)
-	f.nodeMark = growInt32s(f.nodeMark, m)
+	f.uDiag = grow(f.uDiag, m)
+	f.prow = grow(f.prow, m)
+	f.pinv = grow(f.pinv, m)
+	f.q = grow(f.q, m)
+	f.x = grow(f.x, m)
+	f.rowMark = grow(f.rowMark, m)
+	f.nodeMark = grow(f.nodeMark, m)
 	if f.stamp == 0 {
 		for i := range f.rowMark {
 			f.rowMark[i] = 0
@@ -122,15 +104,13 @@ func (f *luFactor) factorize(st *standard, basis []int) error {
 	// Column order: fewest nonzeros first (stable on position for
 	// determinism).  Slack and artificial singletons pivot immediately,
 	// leaving only the structural "bump" for real elimination.
-	f.order = growInts(f.order, m)
+	f.order = grow(f.order, m)
 	for i := range f.order[:m] {
 		f.order[i] = i
 	}
 	ord := f.order[:m]
-	sort.SliceStable(ord, func(a, b int) bool {
-		na := st.colPtr[basis[ord[a]]+1] - st.colPtr[basis[ord[a]]]
-		nb := st.colPtr[basis[ord[b]]+1] - st.colPtr[basis[ord[b]]]
-		return na < nb
+	slices.SortStableFunc(ord, func(a, b int) int {
+		return (st.colPtr[basis[a]+1] - st.colPtr[basis[a]]) - (st.colPtr[basis[b]+1] - st.colPtr[basis[b]])
 	})
 
 	for k := 0; k < m; k++ {

@@ -169,13 +169,13 @@ func (p *Problem) presolve(warm *Basis) *presolveState {
 	scr := &p.scr
 	ps := &scr.ps
 	ps.status = 0
-	ps.rowDead = growBools(ps.rowDead, m)
-	ps.colDead = growBools(ps.colDead, n)
-	ps.eqRow = growBools(ps.eqRow, m)
-	ps.lb = growFloats(ps.lb, n)
-	ps.ub = growFloats(ps.ub, n)
-	ps.cost = growFloats(ps.cost, n)
-	ps.rhs = growFloats(ps.rhs, m)
+	ps.rowDead = grow(ps.rowDead, m)
+	ps.colDead = grow(ps.colDead, n)
+	ps.eqRow = grow(ps.eqRow, m)
+	ps.lb = grow(ps.lb, n)
+	ps.ub = grow(ps.ub, n)
+	ps.cost = grow(ps.cost, n)
+	ps.rhs = grow(ps.rhs, m)
 	ps.post = ps.post[:0]
 	ps.deadAtUpper = ps.deadAtUpper[:0]
 	ps.rowsRemoved, ps.colsRemoved = 0, 0
@@ -199,9 +199,9 @@ func (p *Problem) presolve(warm *Basis) *presolveState {
 	// presolve only tightens bounds and removes nonbasic columns, which
 	// leaves the basis matrix bit-identical; this is the "re-tighten per
 	// node" mode — the full reduction happens on cold (root) solves.
-	protRow := growBools(scr.preProtRow, m)
-	protCol := growBools(scr.preProtCol, n)
-	lockBounds := growBools(scr.preLock, n) // identNeg basic: variable must stay doubly free
+	protRow := grow(scr.preProtRow, m)
+	protCol := grow(scr.preProtCol, n)
+	lockBounds := grow(scr.preLock, n) // identNeg basic: variable must stay doubly free
 	scr.preProtRow, scr.preProtCol, scr.preLock = protRow, protCol, lockBounds
 	clear(protRow)
 	clear(protCol)
@@ -234,83 +234,15 @@ func (p *Problem) presolve(warm *Basis) *presolveState {
 		}
 	}
 
-	// Aggregate the rows into a flat sparse matrix (duplicate terms summed,
-	// zero coefficients dropped — exactly what standardize's per-row maps
-	// do, but in deterministic first-seen order) and mirror it column-wise.
 	// Coefficients never change during presolve, only liveness masks,
-	// bounds, costs and right-hand sides do, so both views are built once.
-	nnz := 0
-	for _, c := range p.cons {
-		nnz += len(c.terms)
-	}
-	// The mirror is invariant under the mutations a warm re-solve chain
-	// makes (SetRHS, SetBounds, SetCost), so it is cached on the Problem's
-	// structVer and rebuilt only after a structural change.
-	var rowOff, rCol, colOff, cRow []int
-	var rVal, cVal []float64
-	if scr.preMatOK && scr.preMatVer == p.structVer {
-		rowOff, rCol, rVal = scr.preRowOff, scr.preRCol, scr.preRVal
-		colOff, cRow, cVal = scr.preColOff, scr.preCRow, scr.preCVal
-	} else {
-		rowOff = growInts(scr.preRowOff, m+1)
-		rCol = growInts(scr.preRCol, nnz)[:0]
-		rVal = growFloats(scr.preRVal, nnz)[:0]
-		acc := growFloats(scr.preAcc, n)
-		seen := growBools(scr.preSeen, n)
-		touched := scr.preTouched[:0]
-		clear(acc)
-		clear(seen)
-		rowOff[0] = 0
-		for i, c := range p.cons {
-			for _, j := range touched {
-				acc[j], seen[j] = 0, false
-			}
-			touched = touched[:0]
-			for _, t := range c.terms {
-				j := int(t.Var)
-				if !seen[j] {
-					seen[j] = true
-					touched = append(touched, j)
-				}
-				acc[j] += t.Coeff
-			}
-			for _, j := range touched {
-				if acc[j] != 0 {
-					rCol = append(rCol, j)
-					rVal = append(rVal, acc[j])
-				}
-			}
-			rowOff[i+1] = len(rCol)
-		}
-		scr.preRowOff, scr.preRCol, scr.preRVal = rowOff, rCol, rVal
-		scr.preAcc, scr.preSeen, scr.preTouched = acc, seen, touched
-		colOff = growInts(scr.preColOff, n+1)
-		clear(colOff)
-		for _, j := range rCol {
-			colOff[j+1]++
-		}
-		for j := 0; j < n; j++ {
-			colOff[j+1] += colOff[j]
-		}
-		cRow = growInts(scr.preCRow, len(rCol))
-		cVal = growFloats(scr.preCVal, len(rCol))
-		next := growInts(scr.preNext, n)
-		scr.preColOff, scr.preCRow, scr.preCVal, scr.preNext = colOff, cRow, cVal, next
-		copy(next, colOff[:n])
-		for i := 0; i < m; i++ {
-			for k := rowOff[i]; k < rowOff[i+1]; k++ {
-				j := rCol[k]
-				pos := next[j]
-				next[j]++
-				cRow[pos] = i
-				cVal[pos] = rVal[k]
-			}
-		}
-		scr.preMatOK, scr.preMatVer = true, p.structVer
-	}
+	// bounds, costs and right-hand sides do, so the aggregated matrix and its
+	// column mirror are read as they are.
+	mat := p.matrix()
+	rowOff, rCol, rVal := mat.rowOff, mat.rCol, mat.rVal
+	colOff, cRow, cVal := mat.colOff, mat.cRow, mat.cVal
 
-	liveInRow := growInts(scr.preLiveRow, m)
-	liveInCol := growInts(scr.preLiveCol, n)
+	liveInRow := grow(scr.preLiveRow, m)
+	liveInCol := grow(scr.preLiveCol, n)
 	scr.preLiveRow, scr.preLiveCol = liveInRow, liveInCol
 	for i := 0; i < m; i++ {
 		liveInRow[i] = rowOff[i+1] - rowOff[i]
@@ -360,7 +292,7 @@ func (p *Problem) presolve(warm *Basis) *presolveState {
 		dupHead = make(map[uint64]int, 64)
 		scr.preDupHead = dupHead
 	}
-	dupNext := growInts(scr.preDupNext, n)
+	dupNext := grow(scr.preDupNext, n)
 	scr.preDupNext = dupNext
 
 	for pass := 0; pass < presolveMaxPasses; pass++ {

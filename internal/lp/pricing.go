@@ -69,9 +69,9 @@ type devexPricer struct {
 // cachedNone marks an empty pick cache (-1 is a meaningful cached result).
 const cachedNone = -2
 
-func newDevexPricer(std *standard) *devexPricer {
-	dx := &devexPricer{cached: cachedNone}
-	dx.rowW = growFloats(std.scr.rowW, std.m)
+func newDevexPricer(std *standard) devexPricer {
+	dx := devexPricer{cached: cachedNone}
+	dx.rowW = grow(std.scr.rowW, std.m)
 	std.scr.rowW = dx.rowW
 	for i := range dx.rowW {
 		dx.rowW[i] = 1
@@ -92,7 +92,7 @@ func (dx *devexPricer) weights(s *solver) []float64 {
 // materializeW builds the dense weight vector: all 1s plus the carried
 // sparse entries, which are consumed by the fold.
 func (dx *devexPricer) materializeW(s *solver) []float64 {
-	w := growFloats(s.std.scr.devexW, s.std.nCols)
+	w := grow(s.std.scr.devexW, s.std.nCols)
 	s.std.scr.devexW = w
 	for i := range w {
 		w[i] = 1

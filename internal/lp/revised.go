@@ -127,7 +127,7 @@ type solver struct {
 	reduced []float64 // maintained reduced costs, len nTotal
 	stale   int       // pivots since the last exact rebuild
 
-	dvx *devexPricer // devex pricing state (pricing.go), never nil
+	dvx devexPricer // devex pricing state (pricing.go)
 
 	sinceRefactor int
 
@@ -138,34 +138,42 @@ type solver struct {
 	nanRetries  int           // non-finite recoveries spent
 	blandForced bool          // stall detector latched Bland's rule on
 
-	// scratch, len m.
-	w, y, rowScratch []float64
+	// scratch, len m: rho holds a row of the basis inverse for the dual
+	// ratio test and the artificial drive-out.
+	w, y, rowScratch, rho []float64
 
 	// alpha is the pivot-update scratch, len nTotal: the scattered row
 	// alpha = Aᵀρ that the reduced-cost update, devex weight update and
 	// dual ratio test all read (see standard.scatterRows).
 	alpha []float64
+
+	// phase1 is the phase-1 objective and vals the standard-form solution
+	// values handed to recover, both len nCols.
+	phase1, vals []float64
 }
 
+// newSolver readies the Problem's one solver (solveScratch.sv) for a solve
+// of std.  Its buffers — LU arrays and eta file included — are reused from
+// the previous solve and reset to what a fresh allocation would hold; the
+// LU is rebuilt by the solve's first factorization, so no factor or eta
+// state carries over from one solve to the next.
 func newSolver(std *standard, ctl *solveControl, stats *Stats) *solver {
-	m := std.m
-	s := &solver{
-		std:        std,
-		m:          m,
-		ctl:        ctl,
-		stats:      stats,
-		basis:      make([]int, m),
-		basic:      make([]bool, std.nCols),
-		atUpper:    make([]bool, std.nCols),
-		xB:         make([]float64, m),
-		reduced:    make([]float64, std.nTotal),
-		w:          make([]float64, m),
-		y:          make([]float64, m),
-		rowScratch: make([]float64, m),
+	s := &std.scr.sv
+	m, n := std.m, std.nCols
+	*s = solver{
+		std: std, m: m, ctl: ctl, stats: stats, lu: s.lu, eta: s.eta, dvx: newDevexPricer(std),
+		basis: grow(s.basis, m), basic: grow(s.basic, n), atUpper: grow(s.atUpper, n),
+		xB: grow(s.xB, m), w: grow(s.w, m), y: grow(s.y, m), rowScratch: grow(s.rowScratch, m),
+		rho: grow(s.rho, m), reduced: grow(s.reduced, std.nTotal), alpha: grow(s.alpha, std.nTotal),
+		phase1: s.phase1, vals: s.vals,
 	}
-	s.alpha = growFloats(std.scr.alpha, std.nTotal)
-	std.scr.alpha = s.alpha
-	s.dvx = newDevexPricer(std)
+	s.eta.reset()
+	clear(s.basis)
+	clear(s.basic)
+	clear(s.atUpper)
+	for _, v := range [][]float64{s.xB, s.reduced, s.w, s.y, s.rowScratch, s.rho} {
+		clear(v)
+	}
 	return s
 }
 
@@ -816,7 +824,7 @@ func (s *solver) dual() Status {
 		maxIter = s.ctl.maxIters
 	}
 	checkLimits := s.ctl.active() || faultsOn.Load()
-	rho := make([]float64, m)
+	rho := s.rho
 
 	s.rebuildReduced()
 	for iter := 0; iter < maxIter; iter++ {
@@ -978,7 +986,7 @@ func (s *solver) dual() Status {
 // phase 1 where possible; rows where no structural or slack column has a
 // nonzero entry are redundant and keep their artificial basic at zero.
 func (s *solver) driveOutArtificials() error {
-	rho := make([]float64, s.m)
+	rho := s.rho
 	for p := 0; p < s.m; p++ {
 		if s.basis[p] < s.std.nTotal {
 			continue
@@ -1025,9 +1033,11 @@ func (s *solver) driveOutArtificials() error {
 
 // values scatters the current solution into a standard-form column vector:
 // basic values clamped to their bounds plus every nonbasic-at-upper column
-// at its upper bound.
+// at its upper bound.  The vector is solver scratch, read by recover.
 func (s *solver) values() []float64 {
-	out := make([]float64, s.std.nCols)
+	s.vals = grow(s.vals, s.std.nCols)
+	out := s.vals
+	clear(out)
 	for j := 0; j < s.std.nTotal; j++ {
 		if s.atUpper[j] && !s.basic[j] {
 			out[j] = s.std.upper[j]
@@ -1123,8 +1133,8 @@ func (sv *solver) devexWeights() ([]int, []float64) {
 	// Capture staging is scratch-backed: captureBasis copies the pairs
 	// into the Basis, so nothing here outlives the capture.
 	scr := sv.std.scr
-	scr.capturedIdx = growInts(scr.capturedIdx, n)
-	scr.capturedW = growFloats(scr.capturedW, n)
+	scr.capturedIdx = grow(scr.capturedIdx, n)
+	scr.capturedW = grow(scr.capturedW, n)
 	cols := scr.capturedIdx[:0]
 	wts := scr.capturedW[:0]
 	for j, wv := range sv.dvx.w {
@@ -1224,7 +1234,7 @@ func (sv *solver) solveWarm(basisArr []int, atUpper []bool, dvxCols []int, dvxW 
 // starting basis, every structural column nonbasic at its lower bound.
 func (sv *solver) solveCold() (Status, []float64) {
 	st := sv.std
-	basisArr := make([]int, st.m)
+	basisArr := sv.basis // setBasis copies it onto itself
 	hasArt := false
 	for i := 0; i < st.m; i++ {
 		// LE rows start on their slack; GE rows' surplus has the wrong sign
@@ -1246,7 +1256,9 @@ func (sv *solver) solveCold() (Status, []float64) {
 		// basis is primal-feasible for this objective by construction
 		// (xB = b ≥ 0 with every nonbasic structural at lower, so no upper
 		// bound is active), and artificials never re-enter once driven out.
-		phase1 := make([]float64, st.nCols)
+		sv.phase1 = grow(sv.phase1, st.nCols)
+		phase1 := sv.phase1
+		clear(phase1)
 		for j := st.nTotal; j < st.nCols; j++ {
 			phase1[j] = 1
 		}

@@ -39,6 +39,10 @@ type colIdent struct {
 // tightening or relaxing a bound is a pure data edit: the row count — and
 // with it the basis dimension and the LU — is always exactly the model's
 // constraint count.
+//
+// A Problem owns one standard (solveScratch.std) and standardize refills
+// its slices in place on every solve, so a warm re-solve chain allocates no
+// standard form at all; nothing here escapes into a Solution or a Basis.
 type standard struct {
 	m       int
 	nStruct int
@@ -71,27 +75,35 @@ type standard struct {
 	// variable j when it is doubly free (split x = x⁺ − x⁻), or -1.
 	negPart []int
 
-	// Presolve plumbing.  modelCons is the model's constraint count (== m
+	// Model-index plumbing.  modelCons is the model's constraint count (== m
 	// when presolve removed nothing or did not run); rowOrig maps each
-	// standard-form row to its model constraint (nil means identity); colOf
-	// maps each model variable to its primary structural column (-1 when
-	// presolve eliminated it); ps is the reduction record recover replays
-	// and captureBasis consults for removed-row fill identities.
+	// standard-form row to its model constraint and rowInv each model
+	// constraint to its standard-form row (-1 when presolve removed it);
+	// colOf maps each model variable to its primary structural column (-1
+	// when presolve eliminated it).  With negPart they resolve every column
+	// identity without a lookup table (see colByIdent).  ps is the reduction
+	// record recover replays and captureBasis consults for removed-row fill
+	// identities.
 	modelCons int
 	rowOrig   []int
+	rowInv    []int
 	colOf     []int
 	ps        *presolveState
 
-	// Row-major mirror of the CSC nonzeros over the priced columns
-	// (j < nTotal), built lazily by buildRows for the pivot-update scatter.
-	rowPtr  []int
-	rowCols []int
-	rowVals []float64
+	// rowSign[i] is −1 when row i was negated to make b[i] ≥ 0, else 1.
+	rowSign []float64
 
-	// scr is the owning Problem's solve scratch; the mirror above, the
-	// solver's alpha row and the devex weight vectors are carved from it so
-	// repeated solves (the milp/sched warm chains) reuse the buffers
-	// instead of re-allocating them.  standardize always sets it.
+	// Row-major mirror of the CSC nonzeros over the priced columns
+	// (j < nTotal), built lazily by buildRows for the pivot-update scatter;
+	// rowsBuilt says whether it describes the current form.
+	rowsBuilt bool
+	rowPtr    []int
+	rowCols   []int
+	rowVals   []float64
+	rowNext   []int
+
+	// scr is the owning Problem's solve scratch, which also holds the
+	// solver, the presolve working set and the devex weight staging.
 	scr *solveScratch
 }
 
@@ -101,13 +113,19 @@ type standard struct {
 // from here escapes into a Solution or a Basis (values, basis captures and
 // devex weight captures are all freshly copied out).
 type solveScratch struct {
-	rowPtr  []int
-	rowCols []int
-	rowVals []float64
-	rowNext []int
-	alpha   []float64
-	devexW  []float64
-	rowW    []float64
+	mat modelMatrix
+	std standard
+	sv  solver
+
+	// installBasis's translated basis, its column-use marks and its
+	// nonbasic-at-upper statuses.
+	instBasis []int
+	instUsed  []bool
+	instUpper []bool
+
+	// Devex primal (per column) and dual (per row) reference weights.
+	devexW []float64
+	rowW   []float64
 
 	// Sparse devex weight staging for the warm-start cycle: carried* backs
 	// installBasis's mapped column/weight pairs (consumed by the solver's
@@ -123,31 +141,111 @@ type solveScratch struct {
 	// Presolve working set (see Problem.presolve): the presolveState itself
 	// (its masks and working bounds live until the next solve — basis
 	// captures and postsolved values are copied out, never aliased), the
-	// warm-basis protection masks, the flat row/column mirrors of the model
-	// and the duplicate-column hash chains.
-	// preMatOK/preMatVer validate the cached mirror (preRowOff…preCVal)
-	// against the Problem's structVer, so a SetRHS/SetBounds warm re-solve
-	// reuses the mirror instead of re-aggregating the terms.
-	preMatOK   bool
-	preMatVer  uint64
+	// warm-basis protection masks, the live-entry counts and the
+	// duplicate-column hash chains.
 	ps         presolveState
 	preProtRow []bool
 	preProtCol []bool
 	preLock    []bool
-	preRowOff  []int
-	preRCol    []int
-	preRVal    []float64
-	preAcc     []float64
-	preSeen    []bool
-	preTouched []int
-	preColOff  []int
-	preCRow    []int
-	preCVal    []float64
-	preNext    []int
 	preLiveRow []int
 	preLiveCol []int
 	preDupHead map[uint64]int
 	preDupNext []int
+}
+
+// modelMatrix is the model's constraint matrix with each row's duplicate
+// terms summed in first-seen order and zero sums dropped, held row-wise
+// (rowOff/rCol/rVal) and mirrored column-wise (colOff/cRow/cVal).  It is
+// the one aggregation of the terms that presolve and standardize both read.
+// The mutations of a warm re-solve chain (SetRHS, SetBounds, SetCost) leave
+// it unchanged, so it is cached on the Problem's structVer and rebuilt, in
+// O(nnz) into the same buffers, only after a structural edit.
+type modelMatrix struct {
+	built bool
+	ver   uint64
+
+	rowOff []int
+	rCol   []int
+	rVal   []float64
+	colOff []int
+	cRow   []int
+	cVal   []float64
+
+	// Build working set: per-variable sums of the current row, first-seen
+	// marks, the variables they touched, and the column fill cursor.
+	acc     []float64
+	seen    []bool
+	touched []int
+	next    []int
+}
+
+// matrix returns the aggregated constraint matrix, rebuilding it first when
+// the structure changed since the last build.
+func (p *Problem) matrix() *modelMatrix {
+	a := &p.scr.mat
+	if a.built && a.ver == p.structVer {
+		return a
+	}
+	n, m := len(p.vars), len(p.cons)
+	nnz := 0
+	for _, c := range p.cons {
+		nnz += len(c.terms)
+	}
+	a.rowOff = grow(a.rowOff, m+1)
+	a.rCol = grow(a.rCol, nnz)[:0]
+	a.rVal = grow(a.rVal, nnz)[:0]
+	a.acc = grow(a.acc, n)
+	a.seen = grow(a.seen, n)
+	clear(a.acc)
+	clear(a.seen)
+	touched := a.touched[:0]
+	a.rowOff[0] = 0
+	for i, c := range p.cons {
+		for _, j := range touched {
+			a.acc[j], a.seen[j] = 0, false
+		}
+		touched = touched[:0]
+		for _, t := range c.terms {
+			j := int(t.Var)
+			if !a.seen[j] {
+				a.seen[j] = true
+				touched = append(touched, j)
+			}
+			a.acc[j] += t.Coeff
+		}
+		for _, j := range touched {
+			if a.acc[j] != 0 {
+				a.rCol = append(a.rCol, j)
+				a.rVal = append(a.rVal, a.acc[j])
+			}
+		}
+		a.rowOff[i+1] = len(a.rCol)
+	}
+	a.touched = touched
+
+	a.colOff = grow(a.colOff, n+1)
+	clear(a.colOff)
+	for _, j := range a.rCol {
+		a.colOff[j+1]++
+	}
+	for j := 0; j < n; j++ {
+		a.colOff[j+1] += a.colOff[j]
+	}
+	a.cRow = grow(a.cRow, len(a.rCol))
+	a.cVal = grow(a.cVal, len(a.rCol))
+	a.next = grow(a.next, n)
+	copy(a.next, a.colOff[:n])
+	for i := 0; i < m; i++ {
+		for k := a.rowOff[i]; k < a.rowOff[i+1]; k++ {
+			j := a.rCol[k]
+			pos := a.next[j]
+			a.next[j]++
+			a.cRow[pos] = i
+			a.cVal[pos] = a.rVal[k]
+		}
+	}
+	a.built, a.ver = true, p.structVer
+	return a
 }
 
 // col returns column j's nonzeros.
@@ -160,18 +258,16 @@ func (s *standard) col(j int) ([]int, []float64) {
 // (j < nTotal; artificials never re-enter pricing).  One counting sort over
 // the CSC nonzeros, done once per standard form on first use.
 func (s *standard) buildRows() {
-	if s.rowPtr != nil {
+	if s.rowsBuilt {
 		return
 	}
 	end := s.colPtr[s.nTotal]
-	ptr := growInts(s.scr.rowPtr, s.m+1)
-	cols := growInts(s.scr.rowCols, end)
-	vals := growFloats(s.scr.rowVals, end)
-	next := growInts(s.scr.rowNext, s.m)
-	s.scr.rowPtr, s.scr.rowCols, s.scr.rowVals, s.scr.rowNext = ptr, cols, vals, next
-	for i := range ptr {
-		ptr[i] = 0
-	}
+	s.rowPtr = grow(s.rowPtr, s.m+1)
+	s.rowCols = grow(s.rowCols, end)
+	s.rowVals = grow(s.rowVals, end)
+	s.rowNext = grow(s.rowNext, s.m)
+	ptr, cols, vals, next := s.rowPtr, s.rowCols, s.rowVals, s.rowNext
+	clear(ptr)
 	for _, r := range s.rowIdx[:end] {
 		ptr[r+1]++
 	}
@@ -188,7 +284,7 @@ func (s *standard) buildRows() {
 			vals[k] = s.vals[p]
 		}
 	}
-	s.rowPtr, s.rowCols, s.rowVals = ptr, cols, vals
+	s.rowsBuilt = true
 }
 
 // scatterRows accumulates alpha[j] += (row r of A)·y[r] over the rows where
@@ -222,253 +318,187 @@ func (s *standard) colDot(j int, y []float64) float64 {
 	return d
 }
 
-// standardize converts the model into computational standard form.  When ps
-// is non-nil the reduced model is built instead: presolve-removed rows and
-// columns are skipped (their substituted contributions already live in
-// ps.rhs), surviving columns use the presolve-tightened bounds and
-// transferred costs, and every colIdent — including slack/artificial row
-// identities — is expressed in model indices, so a Basis captured on the
-// reduced form installs on any later standardization and vice versa.
-func (p *Problem) standardize(ps *presolveState) (*standard, error) {
-	n := len(p.vars)
-	std := &standard{
-		shift:     make([]float64, n),
-		mirror:    make([]bool, n),
-		negPart:   make([]int, n),
-		scr:       &p.scr,
-		modelCons: len(p.cons),
-		ps:        ps,
-	}
+// standardize converts the model into computational standard form, refilling
+// the Problem's one standard in place.  When ps is non-nil the reduced model
+// is built instead: presolve-removed rows and columns are skipped (their
+// substituted contributions already live in ps.rhs), surviving columns use
+// the presolve-tightened bounds and transferred costs, and every colIdent —
+// including slack/artificial row identities — is expressed in model indices,
+// so a Basis captured on the reduced form installs on any later
+// standardization and vice versa.
+//
+// Coefficients come from the aggregated matrix (Problem.matrix), negated for
+// a mirrored column and for a row flipped to b ≥ 0; the right-hand side
+// subtracts each raw term's shift in term order.
+func (p *Problem) standardize(ps *presolveState) *standard {
+	n, mc := len(p.vars), len(p.cons)
+	mat := p.matrix()
+	std := &p.scr.std
+	std.scr, std.ps, std.modelCons, std.rowsBuilt = &p.scr, ps, mc, false
+	std.shift = grow(std.shift, n)
+	std.mirror = grow(std.mirror, n)
+	std.negPart = grow(std.negPart, n)
+	std.colOf = grow(std.colOf, n)
 
 	// Structural columns: one per surviving variable, plus one extra per
 	// doubly-free variable (x = x⁺ − x⁻ when lb = −inf and ub = +inf).
-	// sgn[j] is the coefficient multiplier of variable j's primary column
-	// (−1 when mirrored).
 	col := 0
-	colOf := make([]int, n)
-	sgn := make([]float64, n)
 	for j, v := range p.vars {
-		std.negPart[j] = -1
-		sgn[j] = 1
+		std.negPart[j], std.mirror[j], std.shift[j] = -1, false, 0
 		lb, ub := v.lb, v.ub
 		if ps != nil {
 			if ps.colDead[j] {
-				colOf[j] = -1
+				std.colOf[j] = -1
 				continue
 			}
 			lb, ub = ps.lb[j], ps.ub[j]
 		}
-		colOf[j] = col
+		std.colOf[j] = col
+		col++
 		switch {
 		case !math.IsInf(lb, -1):
 			std.shift[j] = lb
-			col++
 		case !math.IsInf(ub, 1):
 			// lb = −∞, ub finite: mirror y = ub − x.
 			std.mirror[j] = true
 			std.shift[j] = ub
-			sgn[j] = -1
-			col++
 		default:
-			std.shift[j] = 0
-			col++
 			std.negPart[j] = col
 			col++
 		}
 	}
 	std.nStruct = col
-	std.colOf = colOf
 
-	sign := 1.0
-	if p.sense == Maximize {
-		sign = -1.0
-	}
-
-	// Rows: exactly the original constraints, in insertion order.
-	type row struct {
-		coeffs map[int]float64
-		op     Op
-		rhs    float64
-	}
-	rows := make([]row, 0, len(p.cons))
-	if ps != nil {
-		std.rowOrig = make([]int, 0, len(p.cons))
-	}
+	// Rows: exactly the surviving constraints, in insertion order, each
+	// normalized to b ≥ 0.  An inequality row gets the next slack column; an
+	// artificial is marked here (artOf = 0) and numbered once the slack count
+	// fixes where the artificials start.
+	std.rowOrig = grow(std.rowOrig, mc)[:0]
+	std.rowInv = grow(std.rowInv, mc)
+	std.b = grow(std.b, mc)[:0]
+	std.rowSign = grow(std.rowSign, mc)[:0]
+	std.slackOf = grow(std.slackOf, mc)[:0]
+	std.artOf = grow(std.artOf, mc)[:0]
+	slackCol := std.nStruct
 	for ci, c := range p.cons {
+		std.rowInv[ci] = -1
 		rhs := c.rhs
 		if ps != nil {
 			if ps.rowDead[ci] {
 				continue
 			}
 			rhs = ps.rhs[ci]
-			std.rowOrig = append(std.rowOrig, ci)
 		}
-		r := row{coeffs: make(map[int]float64, len(c.terms)), op: c.op, rhs: rhs}
 		for _, t := range c.terms {
-			j := int(t.Var)
-			if colOf[j] < 0 {
-				continue // eliminated column; its contribution is in ps.rhs
-			}
-			r.rhs -= t.Coeff * std.shift[j]
-			r.coeffs[colOf[j]] += sgn[j] * t.Coeff
-			if std.negPart[j] >= 0 {
-				r.coeffs[std.negPart[j]] -= t.Coeff
+			if j := int(t.Var); std.colOf[j] >= 0 {
+				rhs -= t.Coeff * std.shift[j]
 			}
 		}
-		rows = append(rows, r)
-	}
-
-	m := len(rows)
-	std.m = m
-	std.b = make([]float64, m)
-	std.slackOf = make([]int, m)
-	std.artOf = make([]int, m)
-
-	// Normalize to b ≥ 0 and count slack/surplus columns.
-	nSlack := 0
-	for i := range rows {
-		if rows[i].rhs < 0 {
-			for c := range rows[i].coeffs {
-				rows[i].coeffs[c] = -rows[i].coeffs[c]
-			}
-			rows[i].rhs = -rows[i].rhs
-			switch rows[i].op {
+		op, sg := c.op, 1.0
+		if rhs < 0 {
+			rhs, sg = -rhs, -1
+			switch op {
 			case LE:
-				rows[i].op = GE
+				op = GE
 			case GE:
-				rows[i].op = LE
+				op = LE
 			}
 		}
-		if rows[i].op != EQ {
-			nSlack++
+		slack, art := -1, -1
+		if op != EQ {
+			slack = slackCol
+			slackCol++
 		}
+		if op != LE {
+			art = 0
+		}
+		std.rowInv[ci] = len(std.rowOrig)
+		std.rowOrig = append(std.rowOrig, ci)
+		std.b = append(std.b, rhs)
+		std.rowSign = append(std.rowSign, sg)
+		std.slackOf = append(std.slackOf, slack)
+		std.artOf = append(std.artOf, art)
 	}
-	std.nTotal = std.nStruct + nSlack
-
-	slackCol := std.nStruct
+	std.m = len(std.rowOrig)
+	std.nTotal = slackCol
 	artCol := std.nTotal
-	for i := range rows {
-		std.b[i] = rows[i].rhs
-		std.slackOf[i], std.artOf[i] = -1, -1
-		switch rows[i].op {
-		case LE:
-			std.slackOf[i] = slackCol
-			slackCol++
-		case GE:
-			std.slackOf[i] = slackCol
-			slackCol++
-			std.artOf[i] = artCol
-			artCol++
-		case EQ:
+	for i, a := range std.artOf {
+		if a >= 0 {
 			std.artOf[i] = artCol
 			artCol++
 		}
 	}
 	std.nCols = artCol
 
-	// Objective and upper bounds over the standard-form columns.
-	std.c = make([]float64, std.nCols)
-	std.upper = make([]float64, std.nCols)
-	for j := range std.upper {
-		std.upper[j] = math.Inf(1)
+	// Columns in layout order: objective, upper bound, identity — always in
+	// model indices, so a Basis survives any mix of presolved and full
+	// standardizations — and CSC entries.  A structural column is its model
+	// column's entries in the surviving rows (ascending, as the column mirror
+	// holds them), negated for a mirror and for a flipped row; a split
+	// variable's negative part follows it, negated once more.  Slack,
+	// surplus and artificial columns are unit columns of their rows.
+	sign := 1.0
+	if p.sense == Maximize {
+		sign = -1.0
+	}
+	std.c = grow(std.c, std.nCols)
+	std.upper = grow(std.upper, std.nCols)
+	std.colIDs = grow(std.colIDs, std.nCols)
+	std.colPtr = append(std.colPtr[:0], 0)
+	std.rowIdx, std.vals = std.rowIdx[:0], std.vals[:0]
+	addCol := func(c int, cost, upper float64, id colIdent) {
+		std.c[c], std.upper[c], std.colIDs[c] = cost, upper, id
+		std.colPtr = append(std.colPtr, len(std.rowIdx))
+	}
+	structEntries := func(j int, sgn float64) {
+		for k := mat.colOff[j]; k < mat.colOff[j+1]; k++ {
+			if i := std.rowInv[mat.cRow[k]]; i >= 0 {
+				std.rowIdx = append(std.rowIdx, i)
+				std.vals = append(std.vals, std.rowSign[i]*(sgn*mat.cVal[k]))
+			}
+		}
 	}
 	for j, v := range p.vars {
-		if colOf[j] < 0 {
+		c := std.colOf[j]
+		if c < 0 {
 			continue
 		}
 		lb, ub, cost := v.lb, v.ub, v.cost
 		if ps != nil {
 			lb, ub, cost = ps.lb[j], ps.ub[j], ps.cost[j]
 		}
-		std.c[colOf[j]] = sign * sgn[j] * cost
-		if std.negPart[j] >= 0 {
-			std.c[std.negPart[j]] = -sign * cost
+		sgn := 1.0 // coefficient multiplier of the primary column
+		if std.mirror[j] {
+			sgn = -1
 		}
+		u := math.Inf(1)
 		if !math.IsInf(lb, -1) && !math.IsInf(ub, 1) {
-			std.upper[colOf[j]] = ub - lb
+			u = ub - lb
+		}
+		structEntries(j, sgn)
+		addCol(c, sign*sgn*cost, u, colIdent{kind: identStruct, idx: j})
+		if nc := std.negPart[j]; nc >= 0 {
+			structEntries(j, -1)
+			addCol(nc, -sign*cost, math.Inf(1), colIdent{kind: identNeg, idx: j})
 		}
 	}
-
-	// Column identities, always in model indices (rowOrig for rows) so a
-	// Basis survives any mix of presolved and full standardizations.
-	std.colIDs = make([]colIdent, std.nCols)
-	for j := range p.vars {
-		if colOf[j] < 0 {
-			continue
-		}
-		std.colIDs[colOf[j]] = colIdent{kind: identStruct, idx: j}
-		if std.negPart[j] >= 0 {
-			std.colIDs[std.negPart[j]] = colIdent{kind: identNeg, idx: j}
-		}
-	}
-	for i := range rows {
-		mi := i
-		if std.rowOrig != nil {
-			mi = std.rowOrig[i]
-		}
-		if s := std.slackOf[i]; s >= 0 {
-			std.colIDs[s] = colIdent{kind: identSlack, idx: mi}
-		}
-		if a := std.artOf[i]; a >= 0 {
-			std.colIDs[a] = colIdent{kind: identArt, idx: mi}
-		}
-	}
-
-	// CSC assembly.  Counting then filling row-by-row keeps every column's
-	// row indices ascending and the layout deterministic (each (row, column)
-	// pair appears exactly once, so per-row map iteration order is
-	// irrelevant).
-	counts := make([]int, std.nCols+1)
-	for i := range rows {
-		for c, v := range rows[i].coeffs {
-			if v != 0 {
-				counts[c+1]++
-			}
-		}
-		if std.slackOf[i] >= 0 {
-			counts[std.slackOf[i]+1]++
-		}
-		if std.artOf[i] >= 0 {
-			counts[std.artOf[i]+1]++
-		}
-	}
-	for c := 0; c < std.nCols; c++ {
-		counts[c+1] += counts[c]
-	}
-	std.colPtr = counts
-	nnz := std.colPtr[std.nCols]
-	std.rowIdx = make([]int, nnz)
-	std.vals = make([]float64, nnz)
-	next := make([]int, std.nCols)
-	copy(next, std.colPtr[:std.nCols])
-	for i := range rows {
-		for c, v := range rows[i].coeffs {
-			if v == 0 {
-				continue
-			}
-			pos := next[c]
-			next[c]++
-			std.rowIdx[pos] = i
-			std.vals[pos] = v
-		}
-		if sc := std.slackOf[i]; sc >= 0 {
-			sv := 1.0
-			if rows[i].op == GE {
+	for i, sc := range std.slackOf {
+		if sc >= 0 {
+			sv := 1.0 // a ≤ row's slack; a ≥ row's surplus (it has an artificial) is −1
+			if std.artOf[i] >= 0 {
 				sv = -1
 			}
-			pos := next[sc]
-			next[sc]++
-			std.rowIdx[pos] = i
-			std.vals[pos] = sv
-		}
-		if ac := std.artOf[i]; ac >= 0 {
-			pos := next[ac]
-			next[ac]++
-			std.rowIdx[pos] = i
-			std.vals[pos] = 1
+			std.rowIdx, std.vals = append(std.rowIdx, i), append(std.vals, sv)
+			addCol(sc, 0, math.Inf(1), colIdent{kind: identSlack, idx: std.rowOrig[i]})
 		}
 	}
-	return std, nil
+	for i, ac := range std.artOf {
+		if ac >= 0 {
+			std.rowIdx, std.vals = append(std.rowIdx, i), append(std.vals, 1)
+			addCol(ac, 0, math.Inf(1), colIdent{kind: identArt, idx: std.rowOrig[i]})
+		}
+	}
+	return std
 }
 
 // recover maps standard-form column values back to the original variables,

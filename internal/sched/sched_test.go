@@ -381,3 +381,39 @@ func threeDCsScaled(horizon int, scale float64) []DatacenterState {
 	}
 	return dcs
 }
+
+// TestPartitionWarmRoundAllocs pins the allocation contract of a warm
+// round: the partition LP's standard form, aggregated matrix, basis
+// translation and solver memory are all reused from the previous round, so
+// a 3 DC × 12 h round allocates only the plan it returns and the captured
+// basis — a constant, independent of the LP's size.
+func TestPartitionWarmRoundAllocs(t *testing.T) {
+	const horizon = 12
+	s := New(Options{HorizonHours: horizon, MigrationFraction: 0.1})
+	rounds := [][]DatacenterState{threeDCs(horizon), threeDCs(horizon)}
+	for d := range rounds[1] {
+		rounds[1][d].PUE = []float64{1.1 + 0.01*float64(d)} // a SetCoeff every round
+		rounds[1][d].CapacityKW = 280
+	}
+	loads := []float64{270, 250}
+	if _, err := s.Partition(rounds[0], loads[0]); err != nil {
+		t.Fatalf("first round: %v", err)
+	}
+	round := 0
+	var cold int
+	allocs := testing.AllocsPerRun(50, func() {
+		round++
+		plan, err := s.Partition(rounds[round%2], loads[round%2])
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		cold += plan.LPStats.ColdFallbacks
+	})
+	if cold != 0 {
+		t.Fatalf("%d warm rounds fell back cold", cold)
+	}
+	const ceiling = 20 // 13 measured; rebuilding the form per round took 342
+	if allocs > ceiling {
+		t.Fatalf("warm round allocates %v times, ceiling %d", allocs, ceiling)
+	}
+}
